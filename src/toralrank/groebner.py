@@ -5,6 +5,16 @@ degree-reverse-lexicographic, with lower generator index winning.  All
 inputs are required to be homogeneous, which keeps every S-pair and normal
 form homogeneous and makes the degree cap meaningful.
 
+Buchberger's algorithm uses normal selection (Giovini et al. 1991): the
+pending S-pairs sit in a heap keyed (internal degree of the lcm, lead
+component, i, j), so the pair of smallest lcm degree is reduced first and
+ties go to the lower component, then to the lower basis indices.  Only
+pairs whose leading terms share a component are queued.  The keys are
+unique and fixed when a pair is pushed, so the order of reductions, and
+with it every basis element and cofactor, is determined by the input.
+Each basis element's leading term is computed once, when it joins the
+basis, and handed to every division against that basis.
+
 The syzygy machinery follows the classical cofactor construction: every
 S-pair of a Groebner basis reduces to zero, and the bookkeeping of that
 reduction is a generator of the syzygy module.
@@ -12,10 +22,13 @@ reduction is a generator of the syzygy module.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegreeCapError, DomainError, InhomogeneousError, ParseError, RingMismatchError
-from .polyring import FreeModule, ModuleElement, Polynomial, Ring, parse_poly
+from .polyring import FreeModule, ModuleElement, Polynomial, Ring, _degrevlex_key, parse_int, parse_poly
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -31,23 +44,18 @@ class ModuleOrder:
         # Ascending sort by this key lists terms from largest to smallest.
         return (comp, -sum(exp), tuple(reversed(exp)))
 
-    @classmethod
-    def greater(cls, t1, t2) -> bool:
-        return cls.sort_key(t1) < cls.sort_key(t2)
-
 
 POT_DEGREVLEX = ModuleOrder()
 
 
 def leading_term(e: ModuleElement):
     """((exponent, component), coefficient) of the largest term, or None."""
-    best = None
-    best_key = None
-    for term, coeff in e.terms():
-        key = ModuleOrder.sort_key(term)
-        if best_key is None or key < best_key:
-            best, best_key = (term, coeff), key
-    return best
+    # Position over term: the lead lies in the first nonzero component.
+    for comp, p in enumerate(e.components):
+        if p.terms:
+            exp = min(p.terms, key=_degrevlex_key)
+            return (exp, comp), p.terms[exp]
+    return None
 
 
 def _divides(ea, eb) -> bool:
@@ -84,61 +92,79 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
+    @cached_property
+    def leads(self):
+        """leading_term of each element, in basis order."""
+        return tuple(leading_term(e) for e in self.elements)
 
-def division(e: ModuleElement, basis, with_cofactors=False):
+
+def division(e: ModuleElement, basis, with_cofactors=False, leads=None):
     """Fully reduce e by `basis`; returns remainder (and cofactors).
 
     The remainder has no term divisible by any basis leading term, and
-    e == sum(cofactor_i * basis_i) + remainder exactly.
+    e == sum(cofactor_i * basis_i) + remainder exactly.  `leads`, when
+    given, must be the leading_term of each basis element.
     """
     module = e.module
-    leads = []
-    for g in basis:
-        lt = leading_term(g)
-        if lt is None:
-            leads.append(None)
-        else:
-            leads.append(lt)
-    work = e
-    rem = module.zero_element()
-    cof = [module.ring.zero() for _ in basis] if with_cofactors else None
-    while not work.is_zero():
-        (exp, comp), coeff = leading_term(work)
-        reduced = False
-        for i, lt in enumerate(leads):
-            if lt is None:
-                continue
+    if leads is None:
+        leads = [leading_term(g) for g in basis]
+    divisors = {}  # component -> [(i, lead exponent, lead coefficient)] in basis order
+    for i, lt in enumerate(leads):
+        if lt is not None:
             (gexp, gcomp), gcoeff = lt
-            if gcomp == comp and _divides(gexp, exp):
-                factor = coeff / gcoeff
-                mono = _exp_sub(exp, gexp)
-                work = work - basis[i].monomial_mul(mono, factor)
-                if with_cofactors:
-                    cof[i] = cof[i] + module.ring.monomial(mono, factor)
-                reduced = True
-                break
-        if not reduced:
-            move = module.zero_element()
-            comps = list(move.components)
-            comps[comp] = module.ring.monomial(exp, coeff)
-            move = ModuleElement(module, comps)
-            rem = rem + move
-            work = work - move
+            divisors.setdefault(gcomp, []).append((i, gexp, gcoeff))
+    work = [dict(p.terms) for p in e.components]
+    rem = [{} for _ in work]
+    cof = [{} for _ in basis]
+    # The largest term of what is left always lies in the first nonzero
+    # component, and reducing by an element led there never touches an
+    # earlier one: so each component is finished before the next.
+    for comp, terms in enumerate(work):
+        while terms:
+            exp = min(terms, key=_degrevlex_key)
+            coeff = terms[exp]
+            for i, gexp, gcoeff in divisors.get(comp, ()):
+                if _divides(gexp, exp):
+                    factor = coeff / gcoeff
+                    mono = _exp_sub(exp, gexp)
+                    for s, p in enumerate(basis[i].components):
+                        _add_multiple(work[s], p.terms, mono, -factor)
+                    if with_cofactors:
+                        cof[i][mono] = cof[i].get(mono, 0) + factor
+                    break
+            else:
+                rem[comp][exp] = terms.pop(exp)
+    ring = module.ring
+    rem = ModuleElement(module, tuple(Polynomial(ring, r) for r in rem))
     if with_cofactors:
-        return rem, cof
+        return rem, [Polynomial(ring, c) for c in cof]
     return rem
+
+
+def _add_multiple(terms, other, mono, factor):
+    """terms += factor * x^mono * other, in place, dropping zero terms."""
+    for e, c in other.items():
+        key = tuple(a + b for a, b in zip(e, mono))
+        v = terms.get(key, 0) + c * factor
+        if v:
+            terms[key] = v
+        else:
+            terms.pop(key, None)
 
 
 def normal_form(e: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
     """Remainder of e under full division by the basis."""
     if e.module != gb.module:
         raise RingMismatchError("module mismatch")
-    return division(e, gb.elements)
+    return division(e, gb.elements, leads=gb.leads)
 
 
 def s_pair_data(f: ModuleElement, g: ModuleElement):
     """For same-component leads: (lcm_exp, comp, mono_f, mono_g) else None."""
-    ltf, ltg = leading_term(f), leading_term(g)
+    return _s_pair(leading_term(f), leading_term(g))
+
+
+def _s_pair(ltf, ltg):
     if ltf is None or ltg is None:
         return None
     (ef, cf), _ = ltf
@@ -147,22 +173,6 @@ def s_pair_data(f: ModuleElement, g: ModuleElement):
         return None
     lcm = _exp_lcm(ef, eg)
     return lcm, cf, _exp_sub(lcm, ef), _exp_sub(lcm, eg)
-
-
-def _single_component(e: ModuleElement):
-    comps = {s for s, p in enumerate(e.components) if not p.is_zero()}
-    return comps.pop() if len(comps) == 1 else None
-
-
-def _product_criterion(f, g) -> bool:
-    # The coprime-lead skip is only sound when both elements live entirely
-    # in one (and the same) component, where it is the classical criterion.
-    sf, sg = _single_component(f), _single_component(g)
-    if sf is None or sf != sg:
-        return False
-    (ef, _), _ = leading_term(f)
-    (eg, _), _ = leading_term(g)
-    return all(min(a, b) == 0 for a, b in zip(ef, eg))
 
 
 def buchberger(gens, degree_cap: int = DEFAULT_DEGREE_CAP, module: FreeModule = None) -> GroebnerBasis:
@@ -189,13 +199,24 @@ def _buchberger_tracked(gens, degree_cap, track=True, module=None):
     _require_homogeneous(gens)
 
     basis = []
+    leads = []  # leading_term of each (monic) basis element
+    single = []  # whether the element lives in one component only
     reps = []  # reps[i][j]: coefficient of gens[j] in basis[i]
+    pairs = []  # heap of (lcm degree, component, i, j, mono_i, mono_j); (i, j) is unique
     zero_poly = module.ring.zero()
 
     def add_element(e, rep):
         lt = leading_term(e)
+        j = len(basis)
+        for i, lti in enumerate(leads):
+            data = _s_pair(lti, lt)
+            if data is not None:
+                lcm, comp, mono_i, mono_j = data
+                heapq.heappush(pairs, (_internal_degree(module, lcm, comp), comp, i, j, mono_i, mono_j))
         coeff = lt[1]
         basis.append(e.scale(1 / coeff))
+        leads.append(leading_term(basis[-1]))
+        single.append(sum(not p.is_zero() for p in e.components) == 1)
         reps.append([p.scale(1 / coeff) for p in rep] if track else None)
 
     for j, g in enumerate(gens):
@@ -205,31 +226,16 @@ def _buchberger_tracked(gens, degree_cap, track=True, module=None):
         rep[j] = module.ring.one()
         add_element(g, rep)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     while pairs:
-        # Normal selection: smallest lcm degree first, then position.
-        def pair_key(pair):
-            i, j = pair
-            data = s_pair_data(basis[i], basis[j])
-            if data is None:
-                return (-1, 0, i, j)
-            lcm, comp, _, _ = data
-            return (_internal_degree(module, lcm, comp), comp, i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        data = s_pair_data(basis[i], basis[j])
-        if data is None:
-            continue
-        lcm, comp, mono_i, mono_j = data
-        if _internal_degree(module, lcm, comp) > degree_cap:
-            raise DegreeCapError(
-                f"S-pair degree {_internal_degree(module, lcm, comp)} exceeds cap {degree_cap}"
-            )
-        if _product_criterion(basis[i], basis[j]):
+        degree, comp, i, j, mono_i, mono_j = heapq.heappop(pairs)
+        if degree > degree_cap:
+            raise DegreeCapError(f"S-pair degree {degree} exceeds cap {degree_cap}")
+        # Coprime leads: the classical product criterion, sound only when
+        # both elements live entirely in the (shared) lead component.
+        if single[i] and single[j] and not any(map(min, leads[i][0][0], leads[j][0][0])):
             continue
         s = basis[i].monomial_mul(mono_i) - basis[j].monomial_mul(mono_j)
-        rem, cof = division(s, basis, with_cofactors=True)
+        rem, cof = division(s, basis, with_cofactors=True, leads=leads)
         if rem.is_zero():
             continue
         if track:
@@ -241,11 +247,9 @@ def _buchberger_tracked(gens, degree_cap, track=True, module=None):
             rep = [a - b for a, b in zip(rep, _scaled_rep(reps[j], mono_j, module))]
         else:
             rep = None
-        new_index = len(basis)
         add_element(rem, rep)
-        pairs.update((k, new_index) for k in range(new_index))
 
-    basis, reps = _interreduce(basis, reps, module, track)
+    basis, reps = _interreduce(basis, leads, reps, track)
     gb = GroebnerBasis(module, tuple(basis))
     return gb, reps
 
@@ -254,30 +258,26 @@ def _scaled_rep(rep, mono, module):
     return [p.monomial_mul(mono) for p in rep]
 
 
-def _interreduce(basis, reps, module, track):
+def _interreduce(basis, leads, reps, track):
     # Smallest leading term first, so redundant larger leads get dropped.
-    order = sorted(
-        range(len(basis)),
-        key=lambda i: ModuleOrder.sort_key(leading_term(basis[i])[0]),
-        reverse=True,
-    )
+    order = sorted(range(len(basis)), key=lambda i: ModuleOrder.sort_key(leads[i][0]), reverse=True)
     kept = []
+    kept_leads = []
     kept_reps = []
-    lead_exps = []
     for i in order:
-        (exp, comp), _ = leading_term(basis[i])
-        if any(c == comp and _divides(e, exp) for e, c in lead_exps):
+        (exp, comp), _ = leads[i]
+        if any(c == comp and _divides(e, exp) for (e, c), _ in kept_leads):
             continue
         kept.append(basis[i])
+        kept_leads.append(leads[i])
         kept_reps.append(reps[i] if track else None)
-        lead_exps.append((exp, comp))
     # Tail-reduce each against the others; leading terms do not move, so a
     # single full pass yields the reduced basis.
     reduced = []
     reduced_reps = []
     for idx, e in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        rem, cof = division(e, others, with_cofactors=True)
+        rem, cof = division(e, others, with_cofactors=True, leads=kept_leads[:idx] + kept_leads[idx + 1 :])
         scale = 1 / leading_term(rem)[1]
         reduced.append(rem.scale(scale))
         if track:
@@ -404,15 +404,14 @@ def syzygy_basis(gb: GroebnerBasis) -> PresentationMap:
         d = e.degree()
         degs.append(0 if d is None else d)
     syz_target = FreeModule(module.ring, tuple(degs))
+    leads = gb.leads
     columns = []
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            data = s_pair_data(elements[i], elements[j])
-            if data is None:
-                continue
-            lcm, comp, mono_i, mono_j = data
+    for i, j in itertools.combinations(range(len(elements)), 2):
+        data = _s_pair(leads[i], leads[j])
+        if data is not None:
+            _, _, mono_i, mono_j = data
             s = elements[i].monomial_mul(mono_i) - elements[j].monomial_mul(mono_j)
-            rem, cof = division(s, elements, with_cofactors=True)
+            rem, cof = division(s, elements, with_cofactors=True, leads=leads)
             if not rem.is_zero():
                 raise ValueError("input is not a Groebner basis: an S-pair does not reduce to 0")
             comps = [-q for q in cof]
@@ -431,11 +430,8 @@ def _sorted_columns(columns):
         lt = leading_term(col)
         return (d if d is not None else -1, ModuleOrder.sort_key(lt[0]) if lt else ())
 
-    uniq = []
-    for col in sorted(columns, key=key):
-        if col not in uniq:
-            uniq.append(col)
-    return uniq
+    # dict.fromkeys keeps the first of equal columns, in sorted order.
+    return list(dict.fromkeys(sorted(columns, key=key)))
 
 
 def syzygies_of_columns(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> PresentationMap:
@@ -470,7 +466,7 @@ def syzygies_of_columns(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP
             out_cols.append(_lift_to_source(p, nonzero, acc))
         # Discrepancy syzygies: c_j - sum(W_kj * g_k) with remainder zero.
         for pos, (j, c) in enumerate(nonzero):
-            rem, cof = division(c, list(gb.elements), with_cofactors=True)
+            rem, cof = division(c, gb.elements, with_cofactors=True, leads=gb.leads)
             if not rem.is_zero():
                 raise ValueError("column failed to reduce against its own basis")
             acc = [module.ring.zero()] * len(gens)
@@ -526,8 +522,7 @@ def finite_length_and_hilbert(p: PresentationMap, degree_cap: int = DEFAULT_DEGR
     if gens:
         gb = buchberger(gens, degree_cap)
         lead = {}
-        for e in gb.elements:
-            (exp, comp), _ = leading_term(e)
+        for (exp, comp), _ in gb.leads:
             lead.setdefault(comp, []).append(exp)
     else:
         lead = {}
@@ -547,7 +542,7 @@ def finite_length_and_hilbert(p: PresentationMap, degree_cap: int = DEFAULT_DEGR
     counts = {}
     for s in range(module.rank):
         exps = lead.get(s, [])
-        for mono in _box_monomials(bounds[s]):
+        for mono in itertools.product(*map(range, bounds[s])):
             if any(_divides(e, mono) for e in exps):
                 continue
             d = ring.var_degree * sum(mono) + module.generator_degrees[s]
@@ -557,15 +552,6 @@ def finite_length_and_hilbert(p: PresentationMap, degree_cap: int = DEFAULT_DEGR
     top = max(counts)
     hilbert = tuple(counts.get(d, 0) for d in range(top + 1))
     return FiniteLengthReport(True, hilbert, sum(hilbert), top)
-
-
-def _box_monomials(bounds):
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0]):
-        for tail in _box_monomials(bounds[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +572,11 @@ def parse_presentation(text: str) -> PresentationMap:
     ring = _parse_ring_line(lines[0])
     if not lines[1].startswith("target"):
         raise ParseError(f"expected 'target ...', got {lines[1]!r}")
-    target_degrees = tuple(int(tok) for tok in lines[1].split()[1:])
+    target_degrees = tuple(parse_int(tok, repr(lines[1])) for tok in lines[1].split()[1:])
     head = lines[2].split()
     if len(head) != 3 or head[0] != "matrix":
         raise ParseError(f"expected 'matrix <k> <l>', got {lines[2]!r}")
-    k, l = int(head[1]), int(head[2])
+    k, l = parse_int(head[1], repr(lines[2])), parse_int(head[2], repr(lines[2]))
     if k != len(target_degrees):
         raise ParseError(f"matrix has {k} rows but target lists {len(target_degrees)} degrees")
     body = lines[3:]

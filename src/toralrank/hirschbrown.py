@@ -747,7 +747,7 @@ def _homology_presentation(hb, parity, degree_cap):
     lifted_cols = []
     for col in in_map.columns:
         as_kernel_elem = ModuleElement(kernel.target, col.components)
-        rem, cof = division(as_kernel_elem, list(gb.elements), with_cofactors=True)
+        rem, cof = division(as_kernel_elem, gb.elements, with_cofactors=True, leads=gb.leads)
         if not rem.is_zero():
             raise ValidationError("delta^2 != 0: an image column is not in the kernel")
         acc = [hb.ring.zero()] * kernel.source.rank

@@ -268,6 +268,14 @@ def tokenize(text: str):
     return toks
 
 
+def parse_int(token: str, where: str) -> int:
+    """int(token), or a ParseError that names `where` in the input."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{where}: expected an integer, got {token!r}") from None
+
+
 class _TokenStream:
     def __init__(self, toks, length):
         self.toks = toks
@@ -355,18 +363,14 @@ def _parse_factor(ts: _TokenStream, ring: Ring) -> Polynomial:
     idx = ring.resolve_var(name)
     if idx is None:
         raise ParseError(f"unknown variable {name!r}", pos)
-    exp = 1
+    exps = [0] * ring.num_vars
+    exps[idx] = 1
     if ts.accept_op("^"):
         kind2, e, pos2 = ts.next()
         if kind2 != "int":
             raise ParseError("expected an exponent", pos2)
-        exp = e
-    poly = ring.one()
-    if exp:
-        v = ring.variable(idx)
-        for _ in range(exp):
-            poly = poly * v
-    return poly
+        exps[idx] = e
+    return ring.monomial(exps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, ParseError, ValidationError
-from .polyring import _TokenStream, tokenize
+from .polyring import _TokenStream, parse_int, tokenize
 
 
 class SullivanModel:
@@ -250,9 +250,15 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def power(self, n: int) -> "AlgebraElement":
+        """self^n by repeated squaring (self^0 is 1)."""
         acc = AlgebraElement(self.model, {(): Fraction(1)})
-        for _ in range(n):
-            acc = acc * self
+        square = self
+        while n > 0:
+            if n & 1:
+                acc = acc * square
+            n >>= 1
+            if n:
+                square = square * square
         return acc
 
     def __eq__(self, other):
@@ -658,7 +664,7 @@ def _parse_model_and_torus(text):
             parts = line.split()
             if len(parts) != 3 or not parts[2].startswith("deg="):
                 raise ParseError(f"line {lineno}: expected 'gen <name> deg=<int>'")
-            gens.append((parts[1], int(parts[2][4:])))
+            gens.append((parts[1], parse_int(parts[2][4:], f"line {lineno}")))
         elif head == "d":
             name, expr = _split_assignment(line[1:], lineno)
             d_lines.append((lineno, name, expr))
@@ -666,7 +672,7 @@ def _parse_model_and_torus(text):
             parts = line.split()
             if len(parts) != 2 or not parts[1].startswith("r="):
                 raise ParseError(f"line {lineno}: expected 'torus r=<int>'")
-            torus_rank = int(parts[1][2:])
+            torus_rank = parse_int(parts[1][2:], f"line {lineno}")
         elif head == "D":
             name, expr = _split_assignment(line[1:], lineno)
             big_d_lines.append((lineno, name, expr))

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from toralrank.cli import main, run_pipeline
 
 from conftest import DATA, GOLDEN, data_text
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -129,6 +137,37 @@ class TestPresentationCommands:
         code, out, err = run(capsys, "resolve", "--in", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ring r=2 vardeg=1\ntarget 0 q\nmatrix 1 1\nx1\n",
+            "ring r=2 vardeg=1\ntarget 0\nmatrix 1 x\nx1\n",
+        ],
+    )
+    def test_non_integer_header_exits_two(self, capsys, tmp_path, text):
+        f = tmp_path / "bad.pres"
+        f.write_text(text)
+        code, out, err = run(capsys, "coker", "--in", str(f))
+        assert code == 2
+        assert "expected an integer" in err
+        assert "Traceback" not in err and "invalid literal" not in err
+
+    def test_huge_exponent_fails_fast(self, tmp_path):
+        # x1^2000000 is built as one monomial; the first S-pair then crosses
+        # the degree cap at once instead of after two million multiplications.
+        f = tmp_path / "big.pres"
+        f.write_text("ring r=2 vardeg=1\ntarget 0\nmatrix 1 2\nx1^2000000 x2\n")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "toralrank", "coker", "--in", str(f)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 1
+        assert "exceeds cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run(capsys, "coker", "--in", "/nonexistent.pres")
         assert code == 2
@@ -174,6 +213,15 @@ class TestModelCommands:
         code, out, _ = run(capsys, "hb-check", "--in", str(DATA / "torus2.sul"))
         assert code == 0
         assert "hold exactly" in out
+
+    @pytest.mark.parametrize("text", ["gen a deg=x\nd a = 0\n", "gen a deg=1\nd a = 0\ntorus r=q\n"])
+    def test_non_integer_field_exits_two(self, capsys, tmp_path, text):
+        f = tmp_path / "bad.sul"
+        f.write_text(text)
+        code, out, err = run(capsys, "model-cohomology", "--in", str(f))
+        assert code == 2
+        assert "expected an integer" in err
+        assert "Traceback" not in err and "invalid literal" not in err
 
     def test_corrupted_extension_exits_one(self, capsys, tmp_path):
         f = tmp_path / "bad.sul"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import pytest
 
 from toralrank.errors import DegreeCapError, InhomogeneousError, ParseError
 from toralrank.groebner import (
+    DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     PresentationMap,
+    _buchberger_tracked,
     buchberger,
     division,
     finite_length_and_hilbert,
@@ -253,3 +256,62 @@ class TestPresentationFiles:
     def test_comment_lines(self):
         p = parse_presentation("# c\nring r=1 vardeg=1\ntarget 0\nmatrix 1 1\nx1^2\n")
         assert p.source.generator_degrees == (2,)
+
+
+# sha256 over the tracked Buchberger output (basis and reps) and the column
+# syzygies of every engine input below.  It was pinned from an engine that
+# chose each S-pair by a min() scan over all pending pairs; the heap queue
+# must reduce the same pairs in the same order.  Any change to that order,
+# or to a division step, moves it.
+ENGINE_DIGEST = "1fb3490d9b4ec2df1d8cf0999918e8ee8652890ddf9c24c90102c482fc806dca"
+
+
+def engine_inputs():
+    from conftest import random_finite_presentations
+    from toralrank.hirschbrown import _delta_map, perturb, seeded_retract, split_Z
+    from toralrank.sullivan import parse_extension
+
+    yield from random_finite_presentations()
+    yield from random_finite_presentations(seed=SEED + 1)
+    for name in ("ex33.pres", "m23.pres", "m24.pres", "m25.pres", "m35.pres"):
+        yield parse_presentation(data_text(name))
+    for name in ("circle.sul", "torus2.sul", "heis_circle.sul", "nilmanifold.sul"):
+        ext = parse_extension(data_text(name))
+        hb = perturb(ext, seeded_retract(ext, split_Z(ext)))
+        for parity in (0, 1):
+            delta = _delta_map(hb, parity)
+            yield delta
+            # The kernel of delta, as _homology_presentation computes it.
+            yield syzygies_of_columns(delta)
+
+
+def engine_digest(presentations):
+    h = hashlib.sha256()
+    for p in presentations:
+        gens = [c for c in p.columns if not c.is_zero()]
+        if gens:
+            gb, reps = _buchberger_tracked(gens, DEFAULT_DEGREE_CAP, track=True)
+            for e, rep in zip(gb.elements, reps):
+                h.update(f"{e}|{'|'.join(map(str, rep))}\n".encode())
+        syz = syzygies_of_columns(p)
+        h.update(f"{syz.source.generator_degrees}\n".encode())
+        for col in syz.columns:
+            h.update(f"{col}\n".encode())
+        h.update(b"--\n")
+    return h.hexdigest()
+
+
+class TestEngineEquivalence:
+    def test_tracked_bases_and_syzygies_are_pinned(self):
+        assert engine_digest(engine_inputs()) == ENGINE_DIGEST
+
+    def test_degree_cap_names_the_smallest_pair_past_the_cap(self):
+        # Pairs by lcm degree: (x^2, xy) at 3, (xy, y^5) at 6, (x^2, y^5) at 7.
+        # The first pair popped stays under the cap and reduces to zero; the
+        # cap is first crossed by the degree-6 pair.
+        F = rank1_module(ring2())
+        with pytest.raises(DegreeCapError, match="S-pair degree 6 exceeds cap 4"):
+            buchberger([elem(F, "x^2"), elem(F, "x*y"), elem(F, "y^5")], degree_cap=4)
+        with pytest.raises(DegreeCapError, match="S-pair degree 7 exceeds cap 6"):
+            buchberger([elem(F, "x^2"), elem(F, "x*y"), elem(F, "y^5")], degree_cap=6)
+        assert len(buchberger([elem(F, "x^2"), elem(F, "x*y"), elem(F, "y^5")], degree_cap=7)) == 3

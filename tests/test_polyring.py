@@ -116,6 +116,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             P("x1 x2", Ring(2))
 
+    def test_power_is_one_monomial(self):
+        R = Ring(2)
+        assert P("x2^0", R) == R.one()
+        assert P("x2^3*x1", R).terms == {(1, 3): Fraction(1)}
+        assert P("y^1000000", R).terms == {(0, 1000000): Fraction(1)}
+
     def test_leading_minus(self):
         R = Ring(1)
         assert P("-x1", R) == P("0 - x1", R)

@@ -92,6 +92,16 @@ class TestAlgebra:
         assert u * v == v * u
         assert not (u * u).is_zero()
 
+    def test_power_matches_repeated_products(self):
+        m = SullivanModel([("u", 2), ("v", 2), ("a", 1)])
+        x = m.gen("u") + m.gen("v").scale(2) + m.gen("u") * m.gen("a")
+        acc = m.one()
+        for n in range(8):
+            assert x.power(n) == acc
+            acc = acc * x
+        assert m.gen("a").power(10**9).is_zero()
+        assert m.gen("u").power(10**6).terms == {((0, 10**6),): 1}
+
     def test_leibniz_on_random_elements(self):
         rng = random.Random(SEED + 4)
         m = nil_model()
