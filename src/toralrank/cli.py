@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import hirschbrown as hb_mod
 from .diagrams import (
-    BettiDiagram,
     DegreeSequence,
     bs_decompose,
     format_betti_table,
@@ -36,12 +34,10 @@ from .errors import (
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
-    PresentationMap,
     finite_length_and_hilbert,
     format_presentation,
     parse_presentation,
 )
-from .polyring import FreeModule, ModuleElement
 from .resolutions import check_generator_ratio, minimal_free_resolution
 from .sullivan import (
     parse_algebra_expression,
@@ -185,11 +181,6 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # -- bound ------------------------------------------------------------------
 
 
@@ -205,7 +196,7 @@ def _cmd_bound(args):
         for e in report.entries:
             print(f"formula.{e.name}.applicable={int(e.applicable)}")
             if e.applicable:
-                print(f"formula.{e.name}.exact={_frac(e.exact)}")
+                print(f"formula.{e.name}.exact={e.exact}")
                 print(f"formula.{e.name}.value={e.value}")
                 if e.argmin_k is not None:
                     print(f"formula.{e.name}.argmin_k={','.join(map(str, e.argmin_k))}")
@@ -224,8 +215,8 @@ def _cmd_bound(args):
             if e.argmin_k is not None:
                 detail = "  k=" + ",".join(map(str, e.argmin_k))
             if e.argmin_gamma is not None:
-                detail += f" gamma={_frac(e.argmin_gamma)}"
-            exact = "" if e.exact == e.value else f"  (exact {_frac(e.exact)})"
+                detail += f" gamma={e.argmin_gamma}"
+            exact = "" if e.exact == e.value else f"  (exact {e.exact})"
             print(f"  {e.name.ljust(width)}  {e.value}{exact}{detail}")
         verdict = "meets" if report.meets_trc else "MISSES"
         print(f"best: {report.best}  target 2^r: {report.trc_target}  -> {verdict} the target")
@@ -247,6 +238,8 @@ def _cmd_table(args):
 
 
 def _cmd_audit(args):
+    if args.nmax < 1:
+        raise DomainError("--nmax must be at least 1")
     ok, records = bounds_mod.trc_audit(args.nmax)
     for n, r, best, target, meets in records:
         if args.porcelain:
@@ -294,7 +287,7 @@ def _cmd_decompose(args):
     diagram = parse_diagram(_read(args.infile))
     deco = bs_decompose(diagram, args.codim)
     for coeff, seq in deco:
-        print(f"{_frac(coeff)} * pi{seq}")
+        print(f"{coeff} * pi{seq}")
     exact = deco.recompose(codim_hint=args.codim) == diagram
     print(f"recomposes exactly: {'yes' if exact else 'NO'}")
     return 0 if exact else 1
@@ -304,7 +297,7 @@ def _cmd_hk(args):
     diagram = parse_diagram(_read(args.infile))
     residuals = herzog_kuhl_residuals(diagram, args.codim)
     for t, v in enumerate(residuals):
-        print(f"t={t}: {_frac(v)}")
+        print(f"t={t}: {v}")
     print(f"all zero: {'yes' if all(v == 0 for v in residuals) else 'no'}")
     return 0
 
@@ -350,14 +343,14 @@ def _cmd_prop41(args):
         print(f"k={rep.k}")
         print(f"l={rep.l}")
         print(f"N={rep.N}")
-        print(f"ratio={_frac(rep.ratio)}")
+        print(f"ratio={rep.ratio}")
         print(f"required={rep.required}")
         print(f"beta0={rep.beta0}")
         print(f"beta1={rep.beta1}")
         print(f"holds={int(rep.holds)}")
     else:
         print(f"k = {rep.k}, l = {rep.l}, top degree N = {rep.N}")
-        print(f"ratio (N+r)/(N+1) = {_frac(rep.ratio)}; requires l >= {rep.required}")
+        print(f"ratio (N+r)/(N+1) = {rep.ratio}; requires l >= {rep.required}")
         print(f"minimal resolution: beta0 = {rep.beta0}, beta1 = {rep.beta1}")
         print(f"inequality holds: {'yes' if rep.holds else 'NO'}")
     return 0 if rep.holds else 1
@@ -382,7 +375,7 @@ def _cmd_csympl(args):
     model = parse_model(_read(args.infile))
     h = cohomology(model, args.cutoff)
     omega = None
-    if args.omega:
+    if args.omega is not None:
         omega = parse_algebra_expression(args.omega, model)
     rep = c_symplectic_check(h, omega)
     status = {True: "yes", False: "no", None: "unknown"}[rep.is_csymplectic]
@@ -405,18 +398,6 @@ def _load_extension(args):
     return ext, zs, rd
 
 
-def _delta_presentation(hb) -> PresentationMap:
-    target = FreeModule(hb.ring, hb.h_degrees)
-    source = FreeModule(hb.ring, tuple(d + 1 for d in hb.h_degrees))
-    cols = []
-    for j in range(hb.h_rank):
-        comps = [hb.ring.zero()] * hb.h_rank
-        for row, poly in hb.delta.get(j, {}).items():
-            comps[row] = poly
-        cols.append(ModuleElement(target, tuple(comps)))
-    return PresentationMap(source, target, tuple(cols))
-
-
 def _cmd_hb_build(args):
     ext, zs, rd = _load_extension(args)
     hb = hb_mod.perturb(ext, rd)
@@ -425,7 +406,7 @@ def _cmd_hb_build(args):
     print("betti: " + " ".join(str(betti.get(p, 0)) for p in range(rd.cutoff + 1)))
     nonzero = sum(1 for col in hb.delta.values() for v in col.values() if not v.is_zero())
     print(f"delta: {nonzero} nonzero entries, torus rank {hb.torus_rank}")
-    text = format_presentation(_delta_presentation(hb))
+    text = format_presentation(hb_mod._delta_map(hb))
     if args.out:
         Path(args.out).write_text(text)
         print(f"delta presentation written to {args.out}")
@@ -531,7 +512,7 @@ def _cmd_hb_pipeline(args):
                 print(f"map_{tagname}.k={chk.k}")
                 print(f"map_{tagname}.l={chk.l}")
                 print(f"map_{tagname}.N={chk.N}")
-                print(f"map_{tagname}.ratio={_frac(chk.ratio)}")
+                print(f"map_{tagname}.ratio={chk.ratio}")
                 print(f"map_{tagname}.holds={int(chk.holds)}")
         if result.exterior_witness is not None:
             print(f"exterior_witness={result.exterior_witness}")
@@ -559,7 +540,7 @@ def _cmd_hb_pipeline(args):
                 verdict = "holds" if chk.holds else "FAILS"
                 print(
                     f"{tagname}: k={chk.k} l={chk.l} N={chk.N} "
-                    f"ratio={_frac(chk.ratio)} -> {verdict}"
+                    f"ratio={chk.ratio} -> {verdict}"
                 )
         print(
             f"rank/Betti tradeoff bound at (fd={result.fd}, r={result.torus_rank}, "

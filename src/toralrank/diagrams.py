@@ -246,12 +246,8 @@ def parse_diagram(text: str) -> BettiDiagram:
 
 def format_diagram(b: BettiDiagram) -> str:
     return "".join(
-        f"{i} {j} {_cell(v)}\n" for (i, j), v in sorted(b.entries.items())
+        f"{i} {j} {v}\n" for (i, j), v in sorted(b.entries.items())
     )
-
-
-def _cell(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def format_betti_table(b: BettiDiagram) -> str:
@@ -265,7 +261,7 @@ def format_betti_table(b: BettiDiagram) -> str:
     cols = list(range(imin, imax + 1))
     rows = list(range(jmin, jmax + 1))
     grid = {
-        (i, j): _cell(b.entry(i, j)) if b.entry(i, j) else "."
+        (i, j): str(b.entry(i, j)) if b.entry(i, j) else "."
         for i in cols
         for j in rows
     }

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -95,9 +96,6 @@ class RetractData:
     def dim_C(self, p):
         return len(self.c_locals.get(p, []))
 
-    def h_indices_of_degree(self, p):
-        return [i for i, (deg, _, _) in enumerate(self.h_info) if deg == p]
-
     def f_vector(self, h_index):
         deg, vec, _ = self.h_info[h_index]
         return deg, vec
@@ -107,20 +105,25 @@ class RetractData:
         minv = self.minv[p]
         return [sum(row[i] * vec[i] for i in range(len(vec))) for row in minv]
 
+    def split_unit(self, p, loc):
+        """split_local of the loc-th basis monomial: one column of the inverse."""
+        return [row[loc] for row in self.minv[p]]
+
     def g_local(self, p, vec):
         """A-coordinates (paired with their global H indices)."""
-        x = self.split_local(p, vec)
-        na = self.dim_A(p)
-        out = {}
+        return self.g_split(p, self.split_local(p, vec))
+
+    def g_split(self, p, x):
+        """g_local from split coordinates x."""
         base = self.h_offset[p]
-        for a in range(na):
-            if x[a]:
-                out[base + a] = x[a]
-        return out
+        return {base + a: x[a] for a in range(self.dim_A(p)) if x[a]}
 
     def phi_local(self, p, vec):
         """Homotopy: minus the d-preimage of the B-part, landing in degree p-1."""
-        x = self.split_local(p, vec)
+        return self.phi_split(p, self.split_local(p, vec))
+
+    def phi_split(self, p, x):
+        """phi_local from split coordinates x."""
         na, nb = self.dim_A(p), self.dim_B(p)
         prev = [Fraction(0)] * self.basis.dim(p - 1)
         for bpos in range(nb):
@@ -155,6 +158,8 @@ def build_retract(model: SullivanModel, cutoff: int = None, seed=None) -> Retrac
         cutoff = model.top_degree()
         if cutoff is None:
             raise DomainError("cutoff is mandatory when even generators are present")
+    if cutoff < 0:
+        raise DomainError(f"cutoff must be at least 0 (got {cutoff})")
     basis = LambdaBasis(model, cutoff + 1)
     seed = list(seed or [])
     seeds_by_degree = {}
@@ -225,10 +230,11 @@ def _invert(columns, n):
 
 
 # ---------------------------------------------------------------------------
-# R-linear operator calculus.  An "rvec" is {global monomial index: Polynomial}.
+# R-linear operator calculus.  Vectors are sparse {index: Polynomial}: an
+# "rvec" indexes global basis monomials, an "hvec" indexes H classes.
 
 
-def _rvec_add(a, b):
+def _vec_add(a, b):
     out = dict(a)
     for k, p in b.items():
         s = out.get(k)
@@ -238,21 +244,36 @@ def _rvec_add(a, b):
     return out
 
 
-def _rvec_scale_poly(a, poly):
-    out = {}
-    for k, p in a.items():
-        q = p * poly
-        if not q.is_zero():
-            out[k] = q
-    return out
+def _vec_sub(a, b):
+    return _vec_add(a, {k: -p for k, p in b.items()})
 
 
-def _rvec_is_zero(a):
+def _vec_is_zero(a):
     return all(p.is_zero() for p in a.values())
 
 
+def _apply(table, vec):
+    """The R-linear map whose value on index k is table[k], applied to vec.
+
+    Table rows map output index -> Polynomial, or -> Fraction for maps that
+    are Q-linear on the basis (phi, g).
+    """
+    out = {}
+    for k, poly in vec.items():
+        for key, entry in table[k].items():
+            add = entry * poly
+            cur = out.get(key)
+            out[key] = add if cur is None else cur + add
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
 class OperatorContext:
-    """Everything needed to run the perturbation series for one extension."""
+    """Everything needed to run the perturbation series for one extension.
+
+    t, phi and g are tabulated once per basis monomial, D on first use;
+    phi, g and D exist through the retract's cutoff, t through the top of
+    the basis.
+    """
 
     def __init__(self, ext: ActionExtension, rd: RetractData):
         self.ext = ext
@@ -261,9 +282,17 @@ class OperatorContext:
         if rd.model.generators != self.model.generators:
             raise ValidationError("retract was built for a different model")
         self.ring = Ring(ext.torus_rank, var_degree=2)
-        self.basis = rd.basis
-        self.t_table = [self._t_of(idx) for idx in range(len(self.basis.monomials))]
-        self.word_cap = self.basis.max_word_length() + 2
+        self.basis = basis = rd.basis
+        self.t_table = [self._t_of(idx) for idx in range(len(basis.monomials))]
+        self.phi_table, self.g_table = [], []
+        for p in range(rd.cutoff + 1):
+            for loc in range(basis.dim(p)):
+                x = rd.split_unit(p, loc)
+                self.g_table.append(rd.g_split(p, x))
+                self.phi_table.append(
+                    {basis.global_index(p - 1, ploc): c for ploc, c in enumerate(rd.phi_split(p, x)) if c}
+                )
+        self.word_cap = basis.max_word_length() + 2
 
     # -- conversions -------------------------------------------------------
 
@@ -279,57 +308,33 @@ class OperatorContext:
             out[idx] = poly if cur is None else cur + poly
         return {k: p for k, p in out.items() if not p.is_zero()}
 
+    def _D_of(self, idx):
+        elem = AlgebraElement(self.model, {self.basis.monomials[idx]: Fraction(1)})
+        return self.ext.D(self.ext.embed(elem))
+
     def _t_of(self, idx):
-        mono = self.basis.monomials[idx]
-        elem = AlgebraElement(self.model, {mono: Fraction(1)})
-        big = self.ext.D(self.ext.embed(elem))
-        small = self.ext.embed(self.model.d(elem))
-        return self._to_rvec(big - small)
+        elem = AlgebraElement(self.model, {self.basis.monomials[idx]: Fraction(1)})
+        return self._to_rvec(self._D_of(idx) - self.ext.embed(self.model.d(elem)))
+
+    @cached_property
+    def D_table(self):
+        """D of each basis monomial through the cutoff; only the verifier needs it."""
+        return [self._to_rvec(self._D_of(idx)) for idx in range(len(self.phi_table))]
 
     # -- R-linear extensions of the basic maps ------------------------------
 
     def apply_t(self, rvec):
-        out = {}
-        for idx, poly in rvec.items():
-            out = _rvec_add(out, _rvec_scale_poly(self.t_table[idx], poly))
-        return out
+        return _apply(self.t_table, rvec)
 
     def apply_phi(self, rvec):
-        out = {}
-        by_degree = {}
-        for idx, poly in rvec.items():
-            by_degree.setdefault(self.basis.degree_of[idx], {})[idx] = poly
-        for p, part in by_degree.items():
-            vec_polys = [self.ring.zero()] * self.basis.dim(p)
-            for idx, poly in part.items():
-                vec_polys[self.basis.local_index[self.basis.monomials[idx]]] = poly
-            # phi is Q-linear; apply it column by column over the polynomials.
-            for loc, poly in enumerate(vec_polys):
-                if poly.is_zero():
-                    continue
-                unit = [Fraction(0)] * self.basis.dim(p)
-                unit[loc] = Fraction(1)
-                prev = self.rd.phi_local(p, unit)
-                for ploc, c in enumerate(prev):
-                    if c:
-                        gidx = self.basis.global_index(p - 1, ploc)
-                        cur = out.get(gidx)
-                        add = poly.scale(c)
-                        out[gidx] = add if cur is None else cur + add
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _apply(self.phi_table, rvec)
 
     def apply_g(self, rvec):
         """R (x) Lambda -> R (x) H; returns {h index: Polynomial}."""
-        out = {}
-        for idx, poly in rvec.items():
-            p = self.basis.degree_of[idx]
-            unit = [Fraction(0)] * self.basis.dim(p)
-            unit[self.basis.local_index[self.basis.monomials[idx]]] = Fraction(1)
-            for h_idx, c in self.rd.g_local(p, unit).items():
-                add = poly.scale(c)
-                cur = out.get(h_idx)
-                out[h_idx] = add if cur is None else cur + add
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _apply(self.g_table, rvec)
+
+    def apply_D(self, rvec):
+        return _apply(self.D_table, rvec)
 
     def f_rvec(self, h_index):
         deg, vec = self.rd.f_vector(h_index)
@@ -339,15 +344,6 @@ class OperatorContext:
                 out[self.basis.global_index(deg, loc)] = self.ring.constant(c)
         return out
 
-    def apply_D(self, rvec):
-        out = {}
-        for idx, poly in rvec.items():
-            mono = self.basis.monomials[idx]
-            elem = AlgebraElement(self.model, {mono: Fraction(1)})
-            img = self._to_rvec(self.ext.D(self.ext.embed(elem)))
-            out = _rvec_add(out, _rvec_scale_poly(img, poly))
-        return out
-
     # -- stabilized series --------------------------------------------------
 
     def sigma(self, rvec):
@@ -355,8 +351,8 @@ class OperatorContext:
         acc = {}
         u = self.apply_t(rvec)
         steps = 0
-        while not _rvec_is_zero(u):
-            acc = _rvec_add(acc, u)
+        while not _vec_is_zero(u):
+            acc = _vec_add(acc, u)
             steps += 1
             if steps > self.word_cap:
                 raise ValidationError(
@@ -444,33 +440,25 @@ def verify_transfer(ext: ActionExtension, rd: RetractData, hb: HirschBrownModel)
     failures = []
     verify_cutoff = rd.cutoff if rd.model.all_odd() else rd.cutoff - 1
 
-    def delta_of(h_idx):
-        return dict(hb.delta.get(h_idx, {}))
+    delta_table = [hb.delta.get(h, {}) for h in range(len(rd.h_info))]
+    f_inf_table = []
+    for h in range(len(rd.h_info)):
+        base = ctx.f_rvec(h)
+        f_inf_table.append(_vec_add(base, ctx.apply_phi(ctx.sigma(base))))
 
     def delta_on_hvec(hvec):
-        out = {}
-        for h_idx, poly in hvec.items():
-            out = _hvec_add(out, {k: v * poly for k, v in delta_of(h_idx).items()})
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def f_inf(h_idx):
-        base = ctx.f_rvec(h_idx)
-        acc = ctx.sigma(base)
-        return _rvec_add(base, ctx.apply_phi(acc))
+        return _apply(delta_table, hvec)
 
     def f_inf_on_hvec(hvec):
-        out = {}
-        for h_idx, poly in hvec.items():
-            out = _rvec_add(out, _rvec_scale_poly(f_inf(h_idx), poly))
-        return out
+        return _apply(f_inf_table, hvec)
 
     def g_inf(rvec):
         acc = ctx.sigma(ctx.apply_phi(rvec))
-        return _hvec_add(ctx.apply_g(rvec), ctx.apply_g(acc))
+        return _vec_add(ctx.apply_g(rvec), ctx.apply_g(acc))
 
     def phi_inf(rvec):
         acc = ctx.sigma(ctx.apply_phi(rvec))
-        return _rvec_add(ctx.apply_phi(rvec), ctx.apply_phi(acc))
+        return _vec_add(ctx.apply_phi(rvec), ctx.apply_phi(acc))
 
     h_indices = [i for i, (deg, _, _) in enumerate(rd.h_info) if deg <= verify_cutoff]
     basis_indices = [
@@ -486,22 +474,22 @@ def verify_transfer(ext: ActionExtension, rd: RetractData, hb: HirschBrownModel)
     # delta^2 = 0.
     check(
         "delta^2 = 0",
-        lambda h: _hvec_is_zero(delta_on_hvec(delta_of(h))),
+        lambda h: _vec_is_zero(delta_on_hvec(delta_table[h])),
         [(h, f"H class #{h} (degree {rd.h_info[h][0]})") for h in h_indices],
     )
     # D f = f delta.
     check(
         "D f_inf = f_inf delta",
-        lambda h: _rvec_is_zero(
-            _rvec_sub(ctx.apply_D(f_inf(h)), f_inf_on_hvec(delta_of(h)))
+        lambda h: _vec_is_zero(
+            _vec_sub(ctx.apply_D(f_inf_table[h]), f_inf_on_hvec(delta_table[h]))
         ),
         [(h, f"H class #{h}") for h in h_indices],
     )
     # delta g = g D.
     check(
         "delta g_inf = g_inf D",
-        lambda i: _hvec_is_zero(
-            _hvec_sub(
+        lambda i: _vec_is_zero(
+            _vec_sub(
                 delta_on_hvec(g_inf(_unit_rvec(ctx, i))),
                 g_inf(ctx.apply_D(_unit_rvec(ctx, i))),
             )
@@ -510,18 +498,18 @@ def verify_transfer(ext: ActionExtension, rd: RetractData, hb: HirschBrownModel)
     )
     # g f = id.
     def gf_is_identity(h):
-        got = g_inf(f_inf(h))
+        got = g_inf(f_inf_table[h])
         want = {h: ctx.ring.one()}
-        return _hvec_is_zero(_hvec_sub(got, want))
+        return _vec_is_zero(_vec_sub(got, want))
 
     check("g_inf f_inf = id", gf_is_identity, [(h, f"H class #{h}") for h in h_indices])
 
     # f g - id = D phi + phi D.
     def homotopy_identity(i):
         unit = _unit_rvec(ctx, i)
-        lhs = _rvec_sub(f_inf_on_hvec(g_inf(unit)), unit)
-        rhs = _rvec_add(ctx.apply_D(phi_inf(unit)), phi_inf(ctx.apply_D(unit)))
-        return _rvec_is_zero(_rvec_sub(lhs, rhs))
+        lhs = _vec_sub(f_inf_on_hvec(g_inf(unit)), unit)
+        rhs = _vec_add(ctx.apply_D(phi_inf(unit)), phi_inf(ctx.apply_D(unit)))
+        return _vec_is_zero(_vec_sub(lhs, rhs))
 
     check(
         "f_inf g_inf - id = D phi_inf + phi_inf D",
@@ -531,17 +519,17 @@ def verify_transfer(ext: ActionExtension, rd: RetractData, hb: HirschBrownModel)
     # Side conditions.
     check(
         "phi_inf^2 = 0",
-        lambda i: _rvec_is_zero(phi_inf(phi_inf(_unit_rvec(ctx, i)))),
+        lambda i: _vec_is_zero(phi_inf(phi_inf(_unit_rvec(ctx, i)))),
         [(i, f"basis monomial #{i}") for i in basis_indices],
     )
     check(
         "phi_inf f_inf = 0",
-        lambda h: _rvec_is_zero(phi_inf(f_inf(h))),
+        lambda h: _vec_is_zero(phi_inf(f_inf_table[h])),
         [(h, f"H class #{h}") for h in h_indices],
     )
     check(
         "g_inf phi_inf = 0",
-        lambda i: _hvec_is_zero(g_inf(phi_inf(_unit_rvec(ctx, i)))),
+        lambda i: _vec_is_zero(g_inf(phi_inf(_unit_rvec(ctx, i)))),
         [(i, f"basis monomial #{i}") for i in basis_indices],
     )
     return TransferReport(not failures, failures, verify_cutoff)
@@ -549,28 +537,6 @@ def verify_transfer(ext: ActionExtension, rd: RetractData, hb: HirschBrownModel)
 
 def _unit_rvec(ctx, idx):
     return {idx: ctx.ring.one()}
-
-
-def _hvec_add(a, b):
-    out = dict(a)
-    for k, p in b.items():
-        s = out.get(k)
-        out[k] = p if s is None else s + p
-        if out[k].is_zero():
-            del out[k]
-    return out
-
-
-def _hvec_sub(a, b):
-    return _hvec_add(a, {k: -p for k, p in b.items()})
-
-
-def _hvec_is_zero(a):
-    return all(p.is_zero() for p in a.values())
-
-
-def _rvec_sub(a, b):
-    return _rvec_add(a, {k: -p for k, p in b.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -707,13 +673,16 @@ def hb_cohomology_finite(hb: HirschBrownModel, degree_cap: int = DEFAULT_DEGREE_
 
 
 def _parity_indices(hb, parity):
-    return [i for i, d in enumerate(hb.h_degrees) if d % 2 == parity]
+    return [i for i, d in enumerate(hb.h_degrees) if parity is None or d % 2 == parity]
 
 
-def _delta_map(hb: HirschBrownModel, parity: int) -> PresentationMap:
-    """delta restricted to the parity part, as a graded map into the other."""
+def _delta_map(hb: HirschBrownModel, parity: int = None) -> PresentationMap:
+    """delta restricted to the parity part, as a graded map into the other.
+
+    parity None takes all of H, so delta maps R (x) H into itself.
+    """
     src = _parity_indices(hb, parity)
-    dst = _parity_indices(hb, 1 - parity)
+    dst = _parity_indices(hb, None if parity is None else 1 - parity)
     dst_pos = {h: i for i, h in enumerate(dst)}
     target = FreeModule(hb.ring, tuple(hb.h_degrees[h] for h in dst))
     cols = []

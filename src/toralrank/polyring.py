@@ -206,11 +206,11 @@ class Polynomial:
                     factors.append(f"{self.ring.var_name(i)}^{e}")
             mag = abs(coeff)
             if not factors:
-                body = _frac_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_frac_str(mag)] + factors)
+                body = "*".join([str(mag)] + factors)
             if not chunks:
                 chunks.append(body if coeff > 0 else "-" + body)
             else:
@@ -221,23 +221,8 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact add/sub/mul; raises RingMismatchError on mixed rings."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
-# Tokenizer shared by the polynomial and algebra-expression parsers.
+# One expression parser, shared by polynomials and algebra expressions.
 
 def tokenize(text: str):
     """Yield (kind, value, pos) with kind in int/name/op; raises ParseError."""
@@ -298,20 +283,20 @@ class _TokenStream:
         return None
 
 
-def parse_poly(text: str, ring: Ring) -> Polynomial:
-    """Parse `poly := term (("+"|"-") term)*` over the ring's variables.
+def parse_expression(text: str, one, factor, noun: str):
+    """Parse `expr := ["+"|"-"] term (("+"|"-") term)*` into one algebra.
 
-    Round-trips with the canonical printer.  Aliases x,y,z,w (any case)
-    are accepted for rings with at most four variables.
+    A term is a coefficient `int["/"int]` followed by `"*" factor`s, or a
+    factor followed by `"*"`-separated factors and coefficients.  A factor
+    is `name["^"int]`; `factor(name, exponent, pos)` turns it into an
+    element (or raises ParseError), and `noun` names what a factor is in
+    the error for a missing one.  `one` is the unit of the algebra.
     """
     ts = _TokenStream(tokenize(text), len(text))
-    result = ring.zero()
-    sign = 1
-    lead = ts.accept_op("+", "-")
-    if lead == "-":
-        sign = -1
+    result = one.scale(0)
+    sign = -1 if ts.accept_op("+", "-") == "-" else 1
     while True:
-        result = result + _parse_term(ts, ring).scale(sign)
+        result = result + _parse_term(ts, one, factor, noun).scale(sign)
         op = ts.accept_op("+", "-")
         if op is None:
             break
@@ -322,55 +307,64 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     return result
 
 
-def _parse_term(ts: _TokenStream, ring: Ring) -> Polynomial:
+def _parse_term(ts: _TokenStream, one, factor, noun):
     kind, val, pos = ts.peek()
-    if kind is None:
-        raise ParseError("expected a term", pos)
     if kind == "int":
-        coeff = _parse_coeff(ts)
-        poly = ring.constant(coeff)
-        while ts.accept_op("*"):
-            poly = poly * _parse_factor(ts, ring)
-        return poly
-    if kind == "name":
-        poly = _parse_factor(ts, ring)
-        while ts.accept_op("*"):
-            kind2, _, _ = ts.peek()
-            if kind2 == "int":
-                poly = poly.scale(_parse_coeff(ts))
-            else:
-                poly = poly * _parse_factor(ts, ring)
-        return poly
-    raise ParseError(f"expected a term, found {val!r}", pos)
+        out = one.scale(_parse_coeff(ts))
+    elif kind == "name":
+        out = _parse_factor(ts, factor, noun)
+    elif kind is None:
+        raise ParseError("expected a term", pos)
+    else:
+        raise ParseError(f"expected a term, found {val!r}", pos)
+    while ts.accept_op("*"):
+        # Only a term that starts with a factor takes further coefficients.
+        if kind == "name" and ts.peek()[0] == "int":
+            out = out.scale(_parse_coeff(ts))
+        else:
+            out = out * _parse_factor(ts, factor, noun)
+    return out
 
 
 def _parse_coeff(ts: _TokenStream) -> Fraction:
-    kind, val, pos = ts.next()
-    if kind != "int":
-        raise ParseError("expected an integer", pos)
+    _, val, _ = ts.next()
     if ts.accept_op("/"):
-        kind2, den, pos2 = ts.next()
-        if kind2 != "int" or den == 0:
-            raise ParseError("expected a nonzero denominator", pos2)
+        kind, den, pos = ts.next()
+        if kind != "int" or den == 0:
+            raise ParseError("expected a nonzero denominator", pos)
         return Fraction(val, den)
     return Fraction(val)
 
 
-def _parse_factor(ts: _TokenStream, ring: Ring) -> Polynomial:
+def _parse_factor(ts: _TokenStream, factor, noun):
     kind, name, pos = ts.next()
     if kind != "name":
-        raise ParseError(f"expected a variable, found {name!r}", pos)
-    idx = ring.resolve_var(name)
-    if idx is None:
-        raise ParseError(f"unknown variable {name!r}", pos)
-    exps = [0] * ring.num_vars
-    exps[idx] = 1
+        raise ParseError(f"expected a {noun}, found {name!r}", pos)
+    exp = 1
     if ts.accept_op("^"):
-        kind2, e, pos2 = ts.next()
-        if kind2 != "int":
-            raise ParseError("expected an exponent", pos2)
-        exps[idx] = e
-    return ring.monomial(exps)
+        kind, exp, exp_pos = ts.next()
+        if kind != "int":
+            factor(name, 1, pos)  # an unknown name is reported first
+            raise ParseError("expected an exponent", exp_pos)
+    return factor(name, exp, pos)
+
+
+def parse_poly(text: str, ring: Ring) -> Polynomial:
+    """Parse a polynomial over the ring's variables.
+
+    Round-trips with the canonical printer.  Aliases x,y,z,w (any case)
+    are accepted for rings with at most four variables.
+    """
+
+    def factor(name, exp, pos):
+        idx = ring.resolve_var(name)
+        if idx is None:
+            raise ParseError(f"unknown variable {name!r}", pos)
+        exps = [0] * ring.num_vars
+        exps[idx] = exp
+        return ring.monomial(exps)
+
+    return parse_expression(text, ring.one(), factor, "variable")
 
 
 # ---------------------------------------------------------------------------

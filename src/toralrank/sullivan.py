@@ -9,12 +9,13 @@ so runs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, ParseError, ValidationError
-from .polyring import _TokenStream, parse_int, tokenize
+from .polyring import parse_expression, parse_int
 
 
 class SullivanModel:
@@ -287,9 +288,9 @@ class AlgebraElement:
             mag = abs(c)
             body = mono_str(m)
             if body == "1":
-                body = _frac(mag)
+                body = str(mag)
             elif mag != 1:
-                body = f"{_frac(mag)}*{body}"
+                body = f"{mag}*{body}"
             if not chunks:
                 chunks.append(body if c > 0 else "-" + body)
             else:
@@ -298,10 +299,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({self})"
-
-
-def _frac(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +422,8 @@ def cohomology(model: SullivanModel, cutoff: int = None) -> CohomologyRing:
         cutoff = model.top_degree()
         if cutoff is None:
             raise DomainError("cutoff is mandatory when even generators are present")
+    if cutoff < 0:
+        raise DomainError(f"cutoff must be at least 0 (got {cutoff})")
     return CohomologyRing(model, cutoff)
 
 
@@ -484,7 +483,7 @@ def _omega_candidates(h: CohomologyRing):
         yield rep
     m = min(len(reps), 3)
     if m >= 2:
-        for coeffs in _tuples([-2, -1, 0, 1, 2], m):
+        for coeffs in itertools.product([-2, -1, 0, 1, 2], repeat=m):
             if all(c == 0 for c in coeffs):
                 continue
             acc = h.model.zero()
@@ -497,15 +496,6 @@ def _omega_candidates(h: CohomologyRing):
         for k, rep in enumerate(reps):
             acc = acc + rep.scale(primes[k % len(primes)])
         yield acc
-
-
-def _tuples(values, length):
-    if length == 0:
-        yield ()
-        return
-    for head in values:
-        for tail in _tuples(values, length - 1):
-            yield (head,) + tail
 
 
 def c_symplectic_check(h: CohomologyRing, omega: AlgebraElement = None) -> CSymplecticReport:
@@ -568,73 +558,15 @@ def _lefschetz(h: CohomologyRing, omega: AlgebraElement, n: int, fd: int):
 # Model files.
 
 
-def parse_algebra_expression(text, model: SullivanModel, pos_offset=0):
+def parse_algebra_expression(text, model: SullivanModel):
     """Algebra expression: the polynomial grammar with generator names."""
-    ts = _TokenStream(tokenize(text), len(text))
-    result = model.zero()
-    sign = 1
-    lead = ts.accept_op("+", "-")
-    if lead == "-":
-        sign = -1
-    while True:
-        result = result + _parse_alg_term(ts, model).scale(sign)
-        op = ts.accept_op("+", "-")
-        if op is None:
-            break
-        sign = 1 if op == "+" else -1
-    kind, val, pos = ts.peek()
-    if kind is not None:
-        raise ParseError(f"trailing input {val!r}", pos + pos_offset)
-    return result
 
+    def factor(name, exp, pos):
+        if name not in model.name_to_index:
+            raise ParseError(f"unknown generator {name!r}", pos)
+        return model.gen(name).power(exp)
 
-def _parse_alg_term(ts, model):
-    kind, val, pos = ts.peek()
-    if kind is None:
-        raise ParseError("expected a term", pos)
-    if kind == "int":
-        coeff = _parse_alg_coeff(ts)
-        out = model.one().scale(coeff)
-        while ts.accept_op("*"):
-            out = out * _parse_alg_factor(ts, model)
-        return out
-    if kind == "name":
-        out = _parse_alg_factor(ts, model)
-        while ts.accept_op("*"):
-            kind2, _, _ = ts.peek()
-            if kind2 == "int":
-                out = out.scale(_parse_alg_coeff(ts))
-            else:
-                out = out * _parse_alg_factor(ts, model)
-        return out
-    raise ParseError(f"expected a term, found {val!r}", pos)
-
-
-def _parse_alg_coeff(ts):
-    kind, val, pos = ts.next()
-    if kind != "int":
-        raise ParseError("expected an integer", pos)
-    if ts.accept_op("/"):
-        kind2, den, pos2 = ts.next()
-        if kind2 != "int" or den == 0:
-            raise ParseError("expected a nonzero denominator", pos2)
-        return Fraction(val, den)
-    return Fraction(val)
-
-
-def _parse_alg_factor(ts, model):
-    kind, name, pos = ts.next()
-    if kind != "name":
-        raise ParseError(f"expected a generator, found {name!r}", pos)
-    if name not in model.name_to_index:
-        raise ParseError(f"unknown generator {name!r}", pos)
-    exp = 1
-    if ts.accept_op("^"):
-        kind2, e, pos2 = ts.next()
-        if kind2 != "int":
-            raise ParseError("expected an exponent", pos2)
-        exp = e
-    return model.gen(name).power(exp)
+    return parse_expression(text, model.one(), factor, "generator")
 
 
 def _model_lines(text):

@@ -77,6 +77,13 @@ class TestAudits:
         assert code == 0
         assert "all satisfied" in out
 
+    @pytest.mark.parametrize("nmax", ["0", "-1"])
+    def test_trc_audit_refuses_an_empty_range(self, capsys, nmax):
+        code, out, err = run(capsys, "audit-trc", "--nmax", nmax)
+        assert code == 1
+        assert out == ""
+        assert "--nmax must be at least 1" in err
+
 
 class TestDiagramCommands:
     def test_pure(self, capsys):
@@ -195,6 +202,37 @@ class TestModelCommands:
         code, out, _ = run(capsys, "csympl", "--in", str(f), "--omega", "x1*x2")
         assert code == 0
         assert "c-symplectic: yes" in out
+
+    @pytest.mark.parametrize("omega", ["x1*", "x1 x2", "q", ""])
+    def test_csympl_bad_omega_exits_two(self, capsys, tmp_path, omega):
+        f = tmp_path / "m.sul"
+        f.write_text("gen x1 deg=1\ngen x2 deg=1\nd x1 = 0\nd x2 = 0\n")
+        code, out, err = run(capsys, "csympl", "--in", str(f), "--omega", omega)
+        assert code == 2
+        assert out == ""
+        assert "at position" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["nilmanifold", "heis_circle", "torus2", "circle"])
+    def test_hb_build_matches_golden(self, capsys, name):
+        code, out, _ = run(capsys, "hb-build", "--in", str(DATA / f"{name}.sul"))
+        assert code == 0
+        assert out == (GOLDEN / f"hb_build_{name}.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["hb-build", "hb-check", "hb-pipeline"])
+    def test_negative_cutoff_exits_one(self, capsys, command):
+        code, out, err = run(capsys, command, "--in", str(DATA / "torus2.sul"), "--cutoff", "-5")
+        assert code == 1
+        assert out == ""
+        assert "cutoff must be at least 0" in err
+
+    def test_model_cohomology_negative_cutoff_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "m.sul"
+        f.write_text("gen x1 deg=1\nd x1 = 0\n")
+        code, out, err = run(capsys, "model-cohomology", "--in", str(f), "--cutoff", "-3")
+        assert code == 1
+        assert out == ""
+        assert "cutoff must be at least 0" in err
 
     def test_hb_build_writes_presentation(self, capsys, tmp_path):
         out_file = tmp_path / "delta.pres"
