@@ -453,6 +453,9 @@ def run_pipeline(text: str, cutoff=None, degree_cap=DEFAULT_DEGREE_CAP) -> Pipel
         stage = "split_Z"
         zs = hb_mod.split_Z(ext)
         stage = "build_retract"
+        if zs.k and cutoff == 0:
+            # The projections need the degree-1 Z' seeds inside the retract.
+            raise DomainError(f"cutoff {cutoff} lies below the degree-1 seeds of Z'")
         rd = hb_mod.seeded_retract(ext, zs, cutoff)
         stage = "perturb"
         hb = hb_mod.perturb(ext, rd)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,8 @@ from .errors import DegreeCapError, DomainError, InhomogeneousError, ParseError,
 from .polyring import FreeModule, ModuleElement, Polynomial, Ring, _degrevlex_key, parse_int, parse_poly
 
 DEFAULT_DEGREE_CAP = 64
+# Standard monomials a finite-length test may enumerate, summed over components.
+MAX_STANDARD_BOX = 200000
 
 
 class ModuleOrder:
@@ -456,23 +459,15 @@ def syzygies_of_columns(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP
         gb, reps = _buchberger_tracked(gens, degree_cap, track=True)
         # reps[k] expresses gb.elements[k] in terms of gens.
         syz = syzygy_basis(gb)
-        t = len(gb.elements)
         for syzcol in syz.columns:
-            acc = [module.ring.zero()] * len(gens)
-            for k in range(t):
-                q = syzcol.components[k]
-                if not q.is_zero():
-                    acc = [a + q * b for a, b in zip(acc, reps[k])]
+            acc = _combine(module.ring, len(gens), syzcol.components, reps)
             out_cols.append(_lift_to_source(p, nonzero, acc))
         # Discrepancy syzygies: c_j - sum(W_kj * g_k) with remainder zero.
         for pos, (j, c) in enumerate(nonzero):
             rem, cof = division(c, gb.elements, with_cofactors=True, leads=gb.leads)
             if not rem.is_zero():
                 raise ValueError("column failed to reduce against its own basis")
-            acc = [module.ring.zero()] * len(gens)
-            for k, q in enumerate(cof):
-                if not q.is_zero():
-                    acc = [a + q * b for a, b in zip(acc, reps[k])]
+            acc = _combine(module.ring, len(gens), cof, reps)
             acc[pos] = acc[pos] - module.ring.one()
             col = _lift_to_source(p, nonzero, acc)
             if not col.is_zero():
@@ -480,6 +475,15 @@ def syzygies_of_columns(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP
 
     out_cols = _sorted_columns([c for c in out_cols if not c.is_zero()])
     return PresentationMap.from_columns(p.source, out_cols)
+
+
+def _combine(ring, n, coeffs, reps):
+    """sum_k coeffs[k] * reps[k] for vectors reps[k] of n polynomials, skipping zero coeffs."""
+    acc = [ring.zero()] * n
+    for q, rep in zip(coeffs, reps):
+        if not q.is_zero():
+            acc = [a + q * b for a, b in zip(acc, rep)]
+    return acc
 
 
 def _lift_to_source(p, nonzero, acc):
@@ -538,6 +542,13 @@ def finite_length_and_hilbert(p: PresentationMap, degree_cap: int = DEFAULT_DEGR
                 return FiniteLengthReport(False, None, None, None)
             comp_bounds.append(min(pure))
         bounds.append(comp_bounds)
+    size = 0
+    for s, comp_bounds in enumerate(bounds):
+        size += math.prod(comp_bounds)
+        if size > MAX_STANDARD_BOX:
+            raise DegreeCapError(
+                f"standard-monomial box of {size} monomials at component {s} exceeds cap {MAX_STANDARD_BOX}"
+            )
 
     counts = {}
     for s in range(module.rank):

@@ -23,11 +23,13 @@ from .groebner import (
     FiniteLengthReport,
     PresentationMap,
     _buchberger_tracked,
+    _combine,
     division,
     finite_length_and_hilbert,
     syzygies_of_columns,
 )
 from .polyring import FreeModule, ModuleElement, Polynomial, Ring
+from .resolutions import graded_basis
 from .sullivan import ActionExtension, AlgebraElement, SullivanModel
 
 
@@ -438,7 +440,9 @@ def verify_transfer(ext: ActionExtension, rd: RetractData, hb: HirschBrownModel)
     """
     ctx = OperatorContext(ext, rd)
     failures = []
-    verify_cutoff = rd.cutoff if rd.model.all_odd() else rd.cutoff - 1
+    # D of a top-degree monomial reaches degree cutoff+1, where the retract
+    # has no phi or g, unless d vanishes on the top degree.
+    verify_cutoff = rd.cutoff if rd.model.all_odd() and not rd.dim_C(rd.cutoff) else rd.cutoff - 1
 
     delta_table = [hb.delta.get(h, {}) for h in range(len(rd.h_info))]
     f_inf_table = []
@@ -719,11 +723,7 @@ def _homology_presentation(hb, parity, degree_cap):
         rem, cof = division(as_kernel_elem, gb.elements, with_cofactors=True, leads=gb.leads)
         if not rem.is_zero():
             raise ValidationError("delta^2 != 0: an image column is not in the kernel")
-        acc = [hb.ring.zero()] * kernel.source.rank
-        for k, q in enumerate(cof):
-            if not q.is_zero():
-                acc = [a + q * b for a, b in zip(acc, reps[k])]
-        lifted_cols.append(acc)
+        lifted_cols.append(_combine(hb.ring, kernel.source.rank, cof, reps))
     target = kernel.source
     cols = [ModuleElement(target, tuple(acc)) for acc in lifted_cols]
     # The chosen kernel generators may have relations of their own; the
@@ -739,23 +739,9 @@ def hb_homology_dims_by_degree(hb: HirschBrownModel, up_to: int):
 
     Pure rational linear algebra on the graded pieces, no Groebner bases.
     """
-    from .resolutions import _monomials_of_degree
-
-    r = hb.torus_rank
-
-    def piece_basis(m):
-        out = []
-        for h, d in enumerate(hb.h_degrees):
-            rem = m - d
-            if rem < 0 or rem % 2:
-                continue
-            for alpha in _monomials_of_degree(r, rem // 2):
-                out.append((alpha, h))
-        return out
-
     def delta_matrix(m):
-        dom = piece_basis(m)
-        cod = piece_basis(m + 1)
+        dom = graded_basis(hb.ring, hb.h_degrees, m)
+        cod = graded_basis(hb.ring, hb.h_degrees, m + 1)
         pos = {bc: i for i, bc in enumerate(cod)}
         rows = [[Fraction(0)] * len(dom) for _ in cod]
         for cidx, (alpha, h) in enumerate(dom):

@@ -1,51 +1,33 @@
 """Small exact linear algebra kernel over Q.
 
-Everything here works on lists of Fraction rows.  Pivoting is always
-"first nonzero column, first usable row", so reduced forms, kernels and
-chosen representatives are reproducible across runs.
+There is one elimination routine, `Subspace`: a row space kept in reduced
+row echelon form, one sparse row {column: Fraction} per pivot, each pivot
+being its row's first nonzero column.  `rref`, `rank`, `kernel_basis` and
+`solve` take and return dense lists of rows and run through it.  The
+reduced row echelon form of a row space is unique, so reduced forms,
+kernels and chosen representatives do not depend on the order rows arrive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _as_fractions(row):
-    return [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+_ZERO = Fraction(0)
 
 
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    mat = [_as_fractions(r) for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    space = Subspace(len(rows[0]))
+    for row in rows:
+        space.add(row)
+    pivots = space.pivots()
+    return [space._dense(space._rows[p]) for p in pivots], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(rref(rows)[1])
 
 
 def kernel_basis(rows, ncols):
@@ -88,49 +70,56 @@ def solve(columns, target):
 
 
 class Subspace:
-    """Mutable row space kept in reduced echelon form, for Q-vector spaces."""
+    """Mutable row space of Q^ncols kept in reduced row echelon form.
+
+    Each row is stored sparse under its pivot column, scaled to 1 there;
+    every other row is 0 in that column.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows = []
-        self.pivot_of_row = []
+        self._rows = {}  # pivot column -> {column: Fraction}
+
+    def _dense(self, row):
+        return [row.get(j, _ZERO) for j in range(self.ncols)]
+
+    def _reduce(self, vec):
+        v = {j: x if isinstance(x, Fraction) else Fraction(x) for j, x in enumerate(vec) if x}
+        # Rows are 0 in each other's pivot columns, so the coefficients to
+        # subtract are read off vec before any subtraction.
+        for p, f in [(p, f) for p, f in v.items() if p in self._rows]:
+            for j, x in self._rows[p].items():
+                y = v.get(j, _ZERO) - f * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+        return v
 
     def reduce(self, vec):
         """Return vec minus its projection onto the subspace (a new list)."""
-        v = _as_fractions(vec)
-        for row, p in zip(self.rows, self.pivot_of_row):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(p, self.ncols):
-                    v[j] -= f * row[j]
-        return v
+        return self._dense(self._reduce(vec))
 
     def add(self, vec) -> bool:
         """Insert vec's span; True if the dimension grew."""
-        v = self.reduce(vec)
-        for p in range(self.ncols):
-            if v[p] != 0:
-                inv = 1 / v[p]
-                v = [x * inv for x in v]
-                for row, q in zip(self.rows, self.pivot_of_row):
-                    if row[p] != 0:
-                        f = row[p]
-                        for j in range(self.ncols):
-                            row[j] -= f * v[j]
-                where = 0
-                while where < len(self.pivot_of_row) and self.pivot_of_row[where] < p:
-                    where += 1
-                self.rows.insert(where, v)
-                self.pivot_of_row.insert(where, p)
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+        v = self._reduce(vec)
+        if not v:
+            return False
+        p = min(v)
+        inv = 1 / v[p]
+        v = {j: x * inv for j, x in v.items()}
+        for row in self._rows.values():
+            f = row.pop(p, None)
+            if f is not None:
+                for j, x in v.items():
+                    if j != p:
+                        y = row.get(j, _ZERO) - f * x
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
+        self._rows[p] = v
+        return True
 
     def pivots(self):
-        return list(self.pivot_of_row)
+        return sorted(self._rows)

@@ -172,7 +172,7 @@ class _GradedCoker:
         self.image = {}  # degree -> linalg.Subspace
         self.quotient = {}  # degree -> list of ambient positions (non-pivot)
         for d in range(max_degree + 1):
-            basis = self._ambient_basis(d)
+            basis = graded_basis(ring, p.target.generator_degrees, d)
             self.ambient[d] = basis
             self.index[d] = {bc: k for k, bc in enumerate(basis)}
             sub = linalg.Subspace(len(basis))
@@ -186,17 +186,6 @@ class _GradedCoker:
         if d < 0 or d > self.max_degree:
             return 0
         return len(self.quotient[d])
-
-    def _ambient_basis(self, d):
-        ring = self.ring
-        basis = []
-        for comp, gdeg in enumerate(self.p.target.generator_degrees):
-            rem = d - gdeg
-            if rem < 0 or rem % ring.var_degree:
-                continue
-            for exp in _monomials_of_degree(ring.num_vars, rem // ring.var_degree):
-                basis.append((exp, comp))
-        return basis
 
     def _image_vectors(self, d):
         ring = self.ring
@@ -231,6 +220,16 @@ class _GradedCoker:
             out_cols.append(self.reduce_to_quotient(d2, vec))
         # Column-major -> row-major.
         return [[out_cols[c][r] for c in range(len(out_cols))] for r in range(rows)]
+
+
+def graded_basis(ring, generator_degrees, d):
+    """(exponent, generator) pairs of internal degree d, generator by generator."""
+    basis = []
+    for comp, gdeg in enumerate(generator_degrees):
+        rem = d - gdeg
+        if rem >= 0 and rem % ring.var_degree == 0:
+            basis.extend((exp, comp) for exp in _monomials_of_degree(ring.num_vars, rem // ring.var_degree))
+    return basis
 
 
 def _monomials_of_degree(nvars, total):

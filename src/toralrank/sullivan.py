@@ -324,18 +324,21 @@ class CohomologyRing:
         self._coboundaries = {}
         self._reps = {}
         self.betti = []
+        images = []  # d of the degree p-1 monomials, as vectors over degree p
         for p in range(cutoff + 1):
-            cob = linalg.Subspace(len(self.basis[p]))
-            if p >= 1:
-                for m in self.basis[p - 1]:
-                    img = model.d(AlgebraElement(model, {m: Fraction(1)}))
-                    cob.add(self._vector(img, p))
+            n = len(self.basis[p])
+            cob, span = linalg.Subspace(n), linalg.Subspace(n)
+            for vec in images:
+                cob.add(vec)
+                span.add(vec)
             self._coboundaries[p] = cob
-            kernel = self._cocycle_basis(p)
+            images = [
+                self._vector(model.d(AlgebraElement(model, {m: Fraction(1)})), p + 1)
+                for m in self.basis[p]
+            ]
+            cocycle_matrix = [[col[i] for col in images] for i in range(len(self.basis[p + 1]))]
+            kernel = linalg.kernel_basis(cocycle_matrix, n)
             reps = []
-            span = linalg.Subspace(len(self.basis[p]))
-            for row in cob.rows:
-                span.add(row)
             for vec in kernel:
                 red = span.reduce(vec)
                 if any(x != 0 for x in red):
@@ -357,20 +360,6 @@ class CohomologyRing:
             self.model,
             {m: c for m, c in zip(self.basis[degree], vec) if c != 0},
         )
-
-    def _cocycle_basis(self, p: int):
-        rows = []
-        target = self.basis[p + 1]
-        tindex = self.index[p + 1]
-        columns = []
-        for m in self.basis[p]:
-            img = self.model.d(AlgebraElement(self.model, {m: Fraction(1)}))
-            col = [Fraction(0)] * len(target)
-            for mm, c in img.terms.items():
-                col[tindex[mm]] += c
-            columns.append(col)
-        mat = [[columns[j][i] for j in range(len(columns))] for i in range(len(target))]
-        return linalg.kernel_basis(mat, len(self.basis[p]))
 
     def dim(self, p: int) -> int:
         return self.betti[p] if 0 <= p <= self.cutoff else 0

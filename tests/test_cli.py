@@ -159,11 +159,10 @@ class TestPresentationCommands:
         assert "expected an integer" in err
         assert "Traceback" not in err and "invalid literal" not in err
 
-    def test_huge_exponent_fails_fast(self, tmp_path):
-        # x1^2000000 is built as one monomial; the first S-pair then crosses
-        # the degree cap at once instead of after two million multiplications.
+    @staticmethod
+    def assert_coker_fails_fast(tmp_path, text):
         f = tmp_path / "big.pres"
-        f.write_text("ring r=2 vardeg=1\ntarget 0\nmatrix 1 2\nx1^2000000 x2\n")
+        f.write_text(text)
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "toralrank", "coker", "--in", str(f)],
@@ -174,6 +173,17 @@ class TestPresentationCommands:
         assert proc.returncode == 1
         assert "exceeds cap" in proc.stderr
         assert "Traceback" not in proc.stderr
+        return proc.stderr
+
+    def test_huge_exponent_fails_fast(self, tmp_path):
+        # x1^2000000 is built as one monomial; the first S-pair then crosses
+        # the degree cap at once instead of after two million multiplications.
+        self.assert_coker_fails_fast(tmp_path, "ring r=2 vardeg=1\ntarget 0\nmatrix 1 2\nx1^2000000 x2\n")
+
+    def test_huge_standard_monomial_box_fails_fast(self, tmp_path):
+        # One pure power: finite length, but two million standard monomials.
+        err = self.assert_coker_fails_fast(tmp_path, "ring r=1 vardeg=1\ntarget 0\nmatrix 1 1\nx1^2000000\n")
+        assert "box of 2000000 monomials at component 0" in err
 
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run(capsys, "coker", "--in", "/nonexistent.pres")
@@ -252,6 +262,22 @@ class TestModelCommands:
         assert code == 0
         assert "hold exactly" in out
 
+    # Every cutoff from 0 to the top degree: (model, cutoff, degrees checked).
+    # The identities reach one degree past the checked range, so a cutoff
+    # where d does not vanish on the top degree is checked one degree lower.
+    @pytest.mark.parametrize(
+        "name,cutoff,checked",
+        [("nilmanifold", c, c if c in (0, 5, 6) else c - 1) for c in range(7)]
+        + [("heis_circle", c, c if c in (0, 3, 4) else c - 1) for c in range(5)]
+        + [("torus2", c, c) for c in range(3)]
+        + [("circle", c, c) for c in range(2)],
+    )
+    def test_hb_check_at_every_cutoff(self, capsys, name, cutoff, checked):
+        code, out, err = run(capsys, "hb-check", "--in", str(DATA / f"{name}.sul"), "--cutoff", str(cutoff))
+        assert code == 0
+        assert out == f"all transfer identities hold exactly (degrees <= {checked})\n"
+        assert err == ""
+
     @pytest.mark.parametrize("text", ["gen a deg=x\nd a = 0\n", "gen a deg=1\nd a = 0\ntorus r=q\n"])
     def test_non_integer_field_exits_two(self, capsys, tmp_path, text):
         f = tmp_path / "bad.sul"
@@ -285,6 +311,14 @@ class TestPipeline:
         assert lines["map_even.holds"] == "1"
         assert lines["map_odd.holds"] == "1"
         assert lines["bound_met"] == "1"
+
+    def test_cutoff_below_the_seeds_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "hb-pipeline", "--in", str(DATA / "nilmanifold.sul"), "--cutoff", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert "[stage build_retract] cutoff 0 lies below the degree-1 seeds" in err
 
     def test_circle_k_zero_branch(self, capsys):
         code, out, _ = run(capsys, "hb-pipeline", "--in", str(DATA / "circle.sul"))
