@@ -448,6 +448,7 @@ class PipelineResult:
 def run_pipeline(text: str, cutoff=None, degree_cap=DEFAULT_DEGREE_CAP) -> PipelineResult:
     """Extension file -> splitting -> transfer -> projections -> inequality."""
     stage = "parse_extension"
+    note = ""
     try:
         ext = parse_extension(text)
         stage = "split_Z"
@@ -457,6 +458,10 @@ def run_pipeline(text: str, cutoff=None, degree_cap=DEFAULT_DEGREE_CAP) -> Pipel
             # The projections need the degree-1 Z' seeds inside the retract.
             raise DomainError(f"cutoff {cutoff} lies below the degree-1 seeds of Z'")
         rd = hb_mod.seeded_retract(ext, zs, cutoff)
+        top = ext.base.top_degree()
+        if cutoff is not None and (top is None or cutoff < top):
+            # Every later failure may be an artefact of the truncated H.
+            note = f" (at cutoff {cutoff}; a cutoff below the top degree truncates H)"
         stage = "perturb"
         hb = hb_mod.perturb(ext, rd)
         stage = "hb_cohomology_finite"
@@ -496,7 +501,7 @@ def run_pipeline(text: str, cutoff=None, degree_cap=DEFAULT_DEGREE_CAP) -> Pipel
             bound_met=actual >= bound_value,
         )
     except (ParseError, *MATH_ERRORS) as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
+        raise type(exc)(f"[stage {stage}] {exc}{note}") from exc
 
 
 def _cmd_hb_pipeline(args):

@@ -303,6 +303,12 @@ class PresentationMap:
     Column s must be homogeneous of internal degree
     source.generator_degrees[s]; zero columns are allowed (their degree is
     whatever the source says).
+
+    A map is immutable: its columns are a tuple of immutable elements, and
+    every operation that changes a map builds a new one.  So its
+    finite-length report (`finite_length_and_hilbert`) and its minimal
+    resolution (`resolutions.minimal_free_resolution`) are computed once
+    per degree cap and kept on the map; a call that raises keeps nothing.
     """
 
     def __init__(self, source: FreeModule, target: FreeModule, columns):
@@ -324,6 +330,14 @@ class PresentationMap:
         self.source = source
         self.target = target
         self.columns = columns
+        self._memo = {}
+
+    def _memoized(self, kind, degree_cap, compute):
+        """compute(self, degree_cap), kept per (kind, degree_cap) after the first call."""
+        key = (kind, degree_cap)
+        if key not in self._memo:
+            self._memo[key] = compute(self, degree_cap)
+        return self._memo[key]
 
     @classmethod
     def from_columns(cls, target: FreeModule, columns, zero_degree=0):
@@ -514,8 +528,13 @@ def finite_length_and_hilbert(p: PresentationMap, degree_cap: int = DEFAULT_DEGR
     Finiteness is combinatorial: for every target component the leading-term
     module must contain a pure power of every variable.  When it does, the
     Hilbert values are the counts of standard monomials by degree, and
-    top_degree is the regularity of the cokernel.
+    top_degree is the regularity of the cokernel.  The report is kept on p
+    per degree cap (see PresentationMap).
     """
+    return p._memoized("finite_length", degree_cap, _finite_length_and_hilbert)
+
+
+def _finite_length_and_hilbert(p: PresentationMap, degree_cap: int) -> FiniteLengthReport:
     module = p.target
     ring = module.ring
     if any(d < 0 for d in module.generator_degrees):

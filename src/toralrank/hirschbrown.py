@@ -152,9 +152,14 @@ def _d_matrix_columns(model, basis: LambdaBasis, p: int):
 def build_retract(model: SullivanModel, cutoff: int = None, seed=None) -> RetractData:
     """Split the algebra through `cutoff` and assemble the retract maps.
 
-    `seed` is a list of (tag, AlgebraElement) whose spans must end up inside
-    A; seeds must be cycles, independent of each other and of the
-    coboundaries, or a ValidationError is raised.
+    `seed` is a list of (tag, AlgebraElement) whose spans end up inside A.
+    Every seed must be a homogeneous nonzero cycle, and a seed of degree at
+    most `cutoff` must be independent of the coboundaries and of the
+    earlier seeds, or a ValidationError is raised.  A seed of degree above
+    `cutoff` is dropped without an error, so the retract then holds none
+    of it.  Only `cli.run_pipeline` refuses a cutoff below the degree-1
+    seeds of Z' (its projections need them); `hb-build` and `hb-check`
+    accept it.
     """
     if cutoff is None:
         cutoff = model.top_degree()

@@ -66,7 +66,11 @@ class Resolution:
 
 
 def minimal_free_resolution(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Resolution:
-    """Minimal free resolution of coker(p)."""
+    """Minimal free resolution of coker(p), kept on p per degree cap (see PresentationMap)."""
+    return p._memoized("resolution", degree_cap, _resolve)
+
+
+def _resolve(p: PresentationMap, degree_cap: int) -> Resolution:
     maps = [p]
     _minimize(maps)
     safety = p.target.ring.num_vars + 2

@@ -320,6 +320,18 @@ class TestPipeline:
         assert out == ""
         assert "[stage build_retract] cutoff 0 lies below the degree-1 seeds" in err
 
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_stage_error_names_a_truncating_cutoff(self, capsys, cutoff):
+        code, out, err = run(
+            capsys, "hb-pipeline", "--in", str(DATA / "nilmanifold.sul"), "--cutoff", str(cutoff)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: [stage check_generator_ratio(map_odd)] cokernel does not have finite length "
+            f"(at cutoff {cutoff}; a cutoff below the top degree truncates H)\n"
+        )
+
     def test_circle_k_zero_branch(self, capsys):
         code, out, _ = run(capsys, "hb-pipeline", "--in", str(DATA / "circle.sul"))
         assert code == 0

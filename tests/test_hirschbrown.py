@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toralrank.cli import run_pipeline
 from toralrank.errors import ValidationError
 from toralrank.groebner import finite_length_and_hilbert
 from toralrank.hirschbrown import (
@@ -257,6 +258,19 @@ class TestHomology:
         assert sum(dims) == nilmanifold_finiteness.total_dim
         assert dims[:4] == [1, 3, 3, 1]
         assert all(d == 0 for d in dims[4:])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_torus_self_action_ladder(self, n):
+        gens = "".join(f"gen x{i} deg=1\nd x{i} = 0\n" for i in range(1, n + 1))
+        twists = "".join(f"D x{i} = X{i}\n" for i in range(1, n + 1))
+        text = f"{gens}torus r={n}\n{twists}"
+        result = run_pipeline(text)
+        assert (result.b, result.k, result.finite, result.total_dim) == (n, 0, True, 1)
+        assert result.actual_h_dim == 2**n
+        assert result.bound_met
+        ext = parse_extension(text)
+        hb = perturb(ext, seeded_retract(ext, split_Z(ext)))
+        assert sum(hb_homology_dims_by_degree(hb, n)) == result.total_dim
 
     def test_infinite_when_action_is_trivial(self):
         text = "gen x deg=1\nd x = 0\ntorus r=1\n"

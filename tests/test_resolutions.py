@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from toralrank import groebner, resolutions
 from toralrank.diagrams import BettiDiagram
-from toralrank.errors import DomainError
-from toralrank.groebner import PresentationMap, parse_presentation
+from toralrank.errors import DegreeCapError, DomainError
+from toralrank.groebner import PresentationMap, finite_length_and_hilbert, parse_presentation
 from toralrank.polyring import FreeModule, Ring
 from toralrank.resolutions import (
     betti_via_koszul,
@@ -205,3 +206,72 @@ class TestGeneratorRatio:
         text = "ring r=2 vardeg=1\ntarget 0\nmatrix 1 1\nx\n"
         with pytest.raises(DomainError):
             check_generator_ratio(parse_presentation(text))
+
+
+class TestMemoizedResults:
+    """A presentation map keeps its finite-length report and resolution per degree cap."""
+
+    NAMES = ["ex33.pres", "m23.pres", "m24.pres", "m25.pres", "m35.pres"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_repeat_calls_return_the_same_object(self, name):
+        p = load(name)
+        assert finite_length_and_hilbert(p) is finite_length_and_hilbert(p)
+        assert minimal_free_resolution(p) is minimal_free_resolution(p)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_ratio_check_reuses_both_results(self, monkeypatch, name):
+        p = load(name)
+        fin = finite_length_and_hilbert(p)
+        res = minimal_free_resolution(p)
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(resolutions, "syzygies_of_columns", counting(resolutions.syzygies_of_columns))
+        monkeypatch.setattr(groebner, "buchberger", counting(groebner.buchberger))
+        monkeypatch.setattr(groebner, "_buchberger_tracked", counting(groebner._buchberger_tracked))
+        chk = check_generator_ratio(p)
+        assert calls == []
+        assert chk.hilbert == fin.hilbert
+        assert (chk.beta0, chk.beta1) == (res.betti_diagram().total(0), res.betti_diagram().total(1))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_results_equal_those_of_a_fresh_copy(self, name):
+        p = load(name)
+        first = (finite_length_and_hilbert(p), minimal_free_resolution(p), check_generator_ratio(p))
+        again = (finite_length_and_hilbert(p), minimal_free_resolution(p), check_generator_ratio(p))
+        fresh = load(name)
+        assert fresh == p
+        assert again == first
+        assert minimal_free_resolution(fresh) == first[1]
+        assert finite_length_and_hilbert(fresh) == first[0]
+        assert check_generator_ratio(fresh) == first[2]
+
+    def test_results_are_keyed_by_degree_cap(self):
+        p = load("m24.pres")
+        low, high = finite_length_and_hilbert(p, 6), finite_length_and_hilbert(p, 64)
+        assert low == high and low is not high
+        assert finite_length_and_hilbert(p, 6) is low
+        res_low, res_high = minimal_free_resolution(p, 6), minimal_free_resolution(p, 64)
+        assert res_low == res_high and res_low is not res_high
+        assert minimal_free_resolution(p, 6) is res_low
+
+    def test_a_degree_cap_error_is_not_kept(self):
+        p = load("m24.pres")
+        # At cap 4 the cokernel's basis fits but its resolution does not.
+        with pytest.raises(DegreeCapError):
+            minimal_free_resolution(p, 4)
+        with pytest.raises(DegreeCapError):
+            minimal_free_resolution(p, 4)
+        with pytest.raises(DegreeCapError):
+            finite_length_and_hilbert(p, 3)
+        res = minimal_free_resolution(p)
+        assert res == minimal_free_resolution(load("m24.pres"))
+        assert finite_length_and_hilbert(p).finite
+        assert check_generator_ratio(p).holds
