@@ -9,7 +9,7 @@ applicable" rather than extrapolating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import DomainError
@@ -37,6 +37,12 @@ def _entry(name, exact, argmin_k=None, argmin_gamma=None, note=""):
     )
 
 
+def _min_over_k(name, values):
+    """Entry for the minimum of values[k] over k, keeping every tying k."""
+    best = min(values)
+    return _entry(name, best, argmin_k=tuple(k for k, v in enumerate(values) if v == best))
+
+
 def classical(r: int) -> dict:
     """The two linear general-position bounds and the 2^r target."""
     if r < 1:
@@ -60,14 +66,7 @@ def betti_tradeoff_bound(n: int, r: int, b: int) -> BoundEntry:
     if b < 0:
         raise DomainError("b must be >= 0")
     ratio = Fraction(n + r - 1, n - r + 1)
-    best, ks = None, []
-    for k in range(b + 1):
-        val = ratio * 2 * k + 2 ** (b - k)
-        if best is None or val < best:
-            best, ks = val, [k]
-        elif val == best:
-            ks.append(k)
-    return _entry("betti_tradeoff", best, argmin_k=tuple(ks))
+    return _min_over_k("betti_tradeoff", [ratio * 2 * k + 2 ** (b - k) for k in range(b + 1)])
 
 
 def low_degree_bound(n: int, r: int, l: int) -> BoundEntry:
@@ -84,15 +83,7 @@ def csymplectic_rank_bound(n: int, r: int) -> BoundEntry:
     """min over k of ((2n+r-1)/(2n-r+1)) 2k + 2^(r-k); formal dimension 2n."""
     if r < 1 or r > 2 * n:
         raise DomainError(f"need 1 <= r <= 2n (got r={r}, n={n})")
-    ratio = Fraction(2 * n + r - 1, 2 * n - r + 1)
-    best, ks = None, []
-    for k in range(r + 1):
-        val = ratio * 2 * k + 2 ** (r - k)
-        if best is None or val < best:
-            best, ks = val, [k]
-        elif val == best:
-            ks.append(k)
-    return _entry("rank_tradeoff", best, argmin_k=tuple(ks))
+    return replace(betti_tradeoff_bound(2 * n, r, r), name="rank_tradeoff")
 
 
 def hk_ratio_floor(n: int, r: int, d1: int) -> Fraction:
@@ -125,7 +116,7 @@ def duality_bound_high_rank(n: int, r: int) -> BoundEntry:
         if not (n <= r <= 2 * n):
             raise DomainError(f"even case needs n <= r <= 2n (got n={n}, r={r})")
     s1 = hk_ratio_floor(n, r, 1)
-    best, ks = None, []
+    values = []
     for k in range(r + 1):
         val = s1 * 4 * k
         if n % 2 == 1:
@@ -133,11 +124,8 @@ def duality_bound_high_rank(n: int, r: int) -> BoundEntry:
         else:
             val += 4 * sum(math.comb(r - k, 2 * i) for i in range((n - 2) // 2 + 1))
             val += 2 * math.comb(r - k, n)
-        if best is None or val < best:
-            best, ks = val, [k]
-        elif val == best:
-            ks.append(k)
-    return _entry("duality_high_rank", best, argmin_k=tuple(ks))
+        values.append(val)
+    return _min_over_k("duality_high_rank", values)
 
 
 def duality_bound_low_rank(n: int, r: int) -> BoundEntry:
@@ -158,7 +146,7 @@ def duality_bound_low_rank(n: int, r: int) -> BoundEntry:
             raise DomainError(f"even case needs r <= n-1 (got n={n}, r={r})")
     s1 = hk_ratio_floor(n, r, 1)
     sm = hk_ratio_floor(n, r, n // 2 + 1)
-    best, best_k, best_gamma = None, None, None
+    values, gammas = [], []
     for k in range(r + 1):
         b1_0 = 2 * s1 * k + Fraction(2 ** (r - k))
         slope1 = 2 * (sm - s1)  # >= 0
@@ -170,13 +158,10 @@ def duality_bound_low_rank(n: int, r: int) -> BoundEntry:
             gamma, val = gamma_c, b1_0 + slope1 * gamma_c
         else:
             gamma, val = Fraction(k), b2_0 + slope2 * k
-        if best is None or val < best:
-            best, best_k, best_gamma = val, [k], gamma
-        elif val == best:
-            best_k.append(k)
-    return _entry(
-        "duality_low_rank", best, argmin_k=tuple(best_k), argmin_gamma=best_gamma
-    )
+        values.append(val)
+        gammas.append(gamma)
+    entry = _min_over_k("duality_low_rank", values)
+    return replace(entry, argmin_gamma=gammas[entry.argmin_k[0]])
 
 
 def midpoint_ratio_check(n: int, r: int) -> bool:

@@ -7,13 +7,17 @@ twisted part t of the extended differential strictly lowers word length,
 so on any bounded degree range the geometric series of correction terms
 stabilizes after finitely many steps -- no convergence bookkeeping is
 needed, every identity below is checked as an exact matrix identity.
+
+The monomial bases come from `sullivan.GradedBasis`.  The retract owns the
+tables of g and phi, one sparse row per basis monomial; `OperatorContext`
+adds t and D and extends all four R-linearly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 from . import linalg
@@ -30,45 +34,7 @@ from .groebner import (
 )
 from .polyring import FreeModule, ModuleElement, Polynomial, Ring
 from .resolutions import graded_basis
-from .sullivan import ActionExtension, AlgebraElement, SullivanModel
-
-
-class LambdaBasis:
-    """Indexed monomial bases of a free algebra through a top degree."""
-
-    def __init__(self, model: SullivanModel, top: int):
-        self.model = model
-        self.top = top
-        self.by_degree = {}
-        self.monomials = []
-        self.degree_of = []
-        self.index = {}
-        self.local_index = {}
-        for p in range(top + 1):
-            monos = model.monomial_basis(p)
-            self.by_degree[p] = monos
-            for loc, m in enumerate(monos):
-                self.index[m] = len(self.monomials)
-                self.local_index[m] = loc
-                self.monomials.append(m)
-                self.degree_of.append(p)
-
-    def dim(self, p: int) -> int:
-        return len(self.by_degree.get(p, []))
-
-    def global_index(self, p: int, local: int) -> int:
-        return self.index[self.by_degree[p][local]]
-
-    def element_to_local(self, elem: AlgebraElement, p: int):
-        vec = [Fraction(0)] * self.dim(p)
-        monos = self.by_degree[p]
-        pos = {m: i for i, m in enumerate(monos)}
-        for m, c in elem.terms.items():
-            vec[pos[m]] += c
-        return vec
-
-    def max_word_length(self) -> int:
-        return max((sum(e for _, e in m) for m in self.monomials), default=0)
+from .sullivan import ActionExtension, AlgebraElement, GradedBasis, SullivanModel, checked_cutoff
 
 
 @dataclass
@@ -76,17 +42,20 @@ class RetractData:
     """Degreewise splitting of the algebra plus the retract maps.
 
     `h_info[i] = (degree, local coordinates of the cycle, tag)`; tags mark
-    seeded classes so later stages can find them again.
+    seeded classes so later stages can find them again.  `g_table` and
+    `phi_table` hold one row per basis monomial through the cutoff, by
+    global index: g as {H index: Fraction}, phi as {basis index: Fraction}.
     """
 
     model: SullivanModel
     cutoff: int
-    basis: LambdaBasis
+    basis: GradedBasis
     h_info: list
     a_count: dict
     b_count: dict
     c_locals: dict
-    minv: dict
+    g_table: list
+    phi_table: list
     h_offset: dict = field(default_factory=dict)
 
     def dim_A(self, p):
@@ -102,51 +71,25 @@ class RetractData:
         deg, vec, _ = self.h_info[h_index]
         return deg, vec
 
-    def split_local(self, p, vec):
-        """Coordinates of vec in the (A | d(C_{p-1}) | C_p) basis of degree p."""
-        minv = self.minv[p]
-        return [sum(row[i] * vec[i] for i in range(len(vec))) for row in minv]
-
-    def split_unit(self, p, loc):
-        """split_local of the loc-th basis monomial: one column of the inverse."""
-        return [row[loc] for row in self.minv[p]]
+    def _combine_rows(self, table, p, vec):
+        """Sum of vec[loc] times the table row of the degree-p monomial loc."""
+        out = {}
+        for loc, c in enumerate(vec):
+            if c:
+                for key, entry in table[self.basis.global_index(p, loc)].items():
+                    out[key] = out.get(key, 0) + c * entry
+        return {key: v for key, v in out.items() if v}
 
     def g_local(self, p, vec):
         """A-coordinates (paired with their global H indices)."""
-        return self.g_split(p, self.split_local(p, vec))
-
-    def g_split(self, p, x):
-        """g_local from split coordinates x."""
-        base = self.h_offset[p]
-        return {base + a: x[a] for a in range(self.dim_A(p)) if x[a]}
+        return self._combine_rows(self.g_table, p, vec)
 
     def phi_local(self, p, vec):
         """Homotopy: minus the d-preimage of the B-part, landing in degree p-1."""
-        return self.phi_split(p, self.split_local(p, vec))
-
-    def phi_split(self, p, x):
-        """phi_local from split coordinates x."""
-        na, nb = self.dim_A(p), self.dim_B(p)
         prev = [Fraction(0)] * self.basis.dim(p - 1)
-        for bpos in range(nb):
-            coeff = x[na + bpos]
-            if coeff:
-                prev[self.c_locals[p - 1][bpos]] -= coeff
+        for idx, c in self._combine_rows(self.phi_table, p, vec).items():
+            prev[idx - self.basis.global_index(p - 1, 0)] = c
         return prev
-
-
-def _d_matrix_columns(model, basis: LambdaBasis, p: int):
-    """d on degree p, one output vector (over degree p+1) per basis monomial."""
-    cols = []
-    target = basis.by_degree.get(p + 1, [])
-    pos = {m: i for i, m in enumerate(target)}
-    for m in basis.by_degree[p]:
-        img = model.d(AlgebraElement(model, {m: Fraction(1)}))
-        vec = [Fraction(0)] * len(target)
-        for mm, c in img.terms.items():
-            vec[pos[mm]] += c
-        cols.append(vec)
-    return cols
 
 
 def build_retract(model: SullivanModel, cutoff: int = None, seed=None) -> RetractData:
@@ -161,13 +104,8 @@ def build_retract(model: SullivanModel, cutoff: int = None, seed=None) -> Retrac
     seeds of Z' (its projections need them); `hb-build` and `hb-check`
     accept it.
     """
-    if cutoff is None:
-        cutoff = model.top_degree()
-        if cutoff is None:
-            raise DomainError("cutoff is mandatory when even generators are present")
-    if cutoff < 0:
-        raise DomainError(f"cutoff must be at least 0 (got {cutoff})")
-    basis = LambdaBasis(model, cutoff + 1)
+    cutoff = checked_cutoff(model, cutoff)
+    basis = GradedBasis(model, cutoff + 1)
     seed = list(seed or [])
     seeds_by_degree = {}
     for tag, elem in seed:
@@ -178,20 +116,17 @@ def build_retract(model: SullivanModel, cutoff: int = None, seed=None) -> Retrac
         seeds_by_degree.setdefault(elem.degree(), []).append((tag, elem))
 
     h_info = []
-    a_count, b_count, c_locals, minv, h_offset = {}, {}, {}, {}, {}
-    prev_d_cols = None
+    a_count, b_count, c_locals, h_offset = {}, {}, {}, {}
+    g_table, phi_table = [], []
     for p in range(cutoff + 1):
         n = basis.dim(p)
-        d_cols = _d_matrix_columns(model, basis, p)
+        d_cols = basis.d_columns(p)
         # C: pivot monomials of d_p (their images form a basis of B_{p+1}).
         dmat = [[d_cols[j][i] for j in range(n)] for i in range(basis.dim(p + 1))]
         _, pivots = linalg.rref(dmat)
         c_locals[p] = pivots
         # B_p: image of the previous differential.
-        b_vectors = []
-        if p > 0 and prev_d_cols is not None:
-            for loc in c_locals[p - 1]:
-                b_vectors.append(prev_d_cols[loc])
+        b_vectors = [prev_d_cols[loc] for loc in c_locals[p - 1]] if p else []
         b_count[p] = len(b_vectors)
         # Kernel of d_p, then A = seeds + a deterministic completion.
         kernel = linalg.kernel_basis(dmat, n)
@@ -213,17 +148,20 @@ def build_retract(model: SullivanModel, cutoff: int = None, seed=None) -> Retrac
             h_info.append((p, vec, tag))
         # Invert the change of basis [A | d(C_{p-1}) | C_p] -> monomials.
         columns = [vec for _, vec in a_vectors] + b_vectors
-        for loc in pivots:
-            unit = [Fraction(0)] * n
-            unit[loc] = Fraction(1)
-            columns.append(unit)
+        columns += [[Fraction(int(k == loc)) for k in range(n)] for loc in pivots]
         if len(columns) != n:
-            raise ValidationError(
-                f"degree {p}: A+B+C has dimension {len(columns)} != {n}"
-            )
-        minv[p] = _invert(columns, n)
+            raise ValidationError(f"degree {p}: A+B+C has dimension {len(columns)} != {n}")
+        # Column loc of the inverse splits monomial loc: g keeps its
+        # A-part, phi sends its B-part back to minus the C monomials.
+        na = len(a_vectors)
+        prev_c = [basis.global_index(p - 1, loc) for loc in c_locals.get(p - 1, [])]
+        for x in zip(*_invert(columns, n)):
+            g_table.append({h_offset[p] + a: x[a] for a in range(na) if x[a]})
+            phi_table.append({idx: -x[na + b] for b, idx in enumerate(prev_c) if x[na + b]})
         prev_d_cols = d_cols
-    return RetractData(model, cutoff, basis, h_info, a_count, b_count, c_locals, minv, h_offset)
+    return RetractData(
+        model, cutoff, basis, h_info, a_count, b_count, c_locals, g_table, phi_table, h_offset
+    )
 
 
 def _invert(columns, n):
@@ -277,9 +215,9 @@ def _apply(table, vec):
 class OperatorContext:
     """Everything needed to run the perturbation series for one extension.
 
-    t, phi and g are tabulated once per basis monomial, D on first use;
-    phi, g and D exist through the retract's cutoff, t through the top of
-    the basis.
+    t is tabulated once per basis monomial, D on first use, and phi and g
+    are the retract's tables; phi, g and D exist through the retract's
+    cutoff, t through the top of the basis.
     """
 
     def __init__(self, ext: ActionExtension, rd: RetractData):
@@ -291,15 +229,8 @@ class OperatorContext:
         self.ring = Ring(ext.torus_rank, var_degree=2)
         self.basis = basis = rd.basis
         self.t_table = [self._t_of(idx) for idx in range(len(basis.monomials))]
-        self.phi_table, self.g_table = [], []
-        for p in range(rd.cutoff + 1):
-            for loc in range(basis.dim(p)):
-                x = rd.split_unit(p, loc)
-                self.g_table.append(rd.g_split(p, x))
-                self.phi_table.append(
-                    {basis.global_index(p - 1, ploc): c for ploc, c in enumerate(rd.phi_split(p, x)) if c}
-                )
-        self.word_cap = basis.max_word_length() + 2
+        self.phi_table, self.g_table = rd.phi_table, rd.g_table
+        self.word_cap = max((sum(e for _, e in m) for m in basis.monomials), default=0) + 2
 
     # -- conversions -------------------------------------------------------
 
@@ -345,11 +276,7 @@ class OperatorContext:
 
     def f_rvec(self, h_index):
         deg, vec = self.rd.f_vector(h_index)
-        out = {}
-        for loc, c in enumerate(vec):
-            if c:
-                out[self.basis.global_index(deg, loc)] = self.ring.constant(c)
-        return out
+        return {self.basis.global_index(deg, loc): self.ring.constant(c) for loc, c in enumerate(vec) if c}
 
     # -- stabilized series --------------------------------------------------
 
@@ -455,11 +382,8 @@ def verify_transfer(ext: ActionExtension, rd: RetractData, hb: HirschBrownModel)
         base = ctx.f_rvec(h)
         f_inf_table.append(_vec_add(base, ctx.apply_phi(ctx.sigma(base))))
 
-    def delta_on_hvec(hvec):
-        return _apply(delta_table, hvec)
-
-    def f_inf_on_hvec(hvec):
-        return _apply(f_inf_table, hvec)
+    delta_on_hvec = partial(_apply, delta_table)
+    f_inf_on_hvec = partial(_apply, f_inf_table)
 
     def g_inf(rvec):
         acc = ctx.sigma(ctx.apply_phi(rvec))
@@ -623,11 +547,7 @@ def split_Z(ext: ActionExtension) -> ZSplit:
 def zsplit_seed(model: SullivanModel, zs: ZSplit):
     """Seeds for build_retract: the exterior monomials on Z and the Z' lines."""
     def vec_elem(vec):
-        acc = model.zero()
-        for c, i in zip(vec, zs.v1_gens):
-            if c:
-                acc = acc + model.gen(i).scale(c)
-        return acc
+        return AlgebraElement(model, {((i, 1),): c for c, i in zip(vec, zs.v1_gens)})
 
     seeds = [(("lz", ()), model.one())]
     z_elems = [vec_elem(v) for v in zs.Z]
@@ -685,6 +605,24 @@ def _parity_indices(hb, parity):
     return [i for i, d in enumerate(hb.h_degrees) if parity is None or d % 2 == parity]
 
 
+def _restrict(hb, src, dst, ring, source_degrees, target_degrees) -> PresentationMap:
+    """delta from the classes `src` to the classes `dst`, over `ring`.
+
+    Entries in rows outside `dst` are dropped; column j of the map is the
+    image of class src[j].
+    """
+    pos = {h: i for i, h in enumerate(dst)}
+    target = FreeModule(ring, tuple(target_degrees))
+    cols = []
+    for h in src:
+        comps = [ring.zero()] * len(dst)
+        for row, poly in hb.delta.get(h, {}).items():
+            if row in pos:
+                comps[pos[row]] = poly.with_ring(ring)
+        cols.append(ModuleElement(target, tuple(comps)))
+    return PresentationMap(FreeModule(ring, tuple(source_degrees)), target, tuple(cols))
+
+
 def _delta_map(hb: HirschBrownModel, parity: int = None) -> PresentationMap:
     """delta restricted to the parity part, as a graded map into the other.
 
@@ -692,16 +630,8 @@ def _delta_map(hb: HirschBrownModel, parity: int = None) -> PresentationMap:
     """
     src = _parity_indices(hb, parity)
     dst = _parity_indices(hb, None if parity is None else 1 - parity)
-    dst_pos = {h: i for i, h in enumerate(dst)}
-    target = FreeModule(hb.ring, tuple(hb.h_degrees[h] for h in dst))
-    cols = []
-    for h in src:
-        comps = [hb.ring.zero()] * len(dst)
-        for row, poly in hb.delta.get(h, {}).items():
-            comps[dst_pos[row]] = poly
-        cols.append(ModuleElement(target, tuple(comps)))
-    source = FreeModule(hb.ring, tuple(hb.h_degrees[h] + 1 for h in src))
-    return PresentationMap(source, target, tuple(cols))
+    degrees = hb.h_degrees
+    return _restrict(hb, src, dst, hb.ring, (degrees[h] + 1 for h in src), (degrees[h] for h in dst))
 
 
 def _homology_presentation(hb, parity, degree_cap):
@@ -794,54 +724,36 @@ def projection_presentations(hb: HirschBrownModel, zs: ZSplit) -> ProjectionMaps
     if all(t is None for t in tags):
         raise ValidationError("model was built from an unseeded retract")
     res_ring = Ring(hb.torus_rank, var_degree=1)
-
-    def regrade(poly):
-        return poly.with_ring(res_ring)
-
+    degrees = hb.h_degrees
     lz = [i for i, t in enumerate(tags) if t is not None and t[0] == "lz"]
     zp = [i for i, t in enumerate(tags) if t is not None and t[0] == "zp"]
     if len(zp) != zs.k:
         raise ValidationError("retract seeds do not match the given splitting")
 
     # Even map: sources are even classes outside the exterior part.
-    even_src = [i for i in range(hb.h_rank) if hb.h_degrees[i] % 2 == 0 and i not in lz]
+    even_src = [i for i in range(hb.h_rank) if degrees[i] % 2 == 0 and i not in lz]
     for i in lz:
-        if hb.h_degrees[i] % 2 == 0:
+        if degrees[i] % 2 == 0:
             col = hb.delta.get(i, {})
             for row in zp:
                 if row in col and not col[row].is_zero():
                     raise ValidationError(
                         "delta does not preserve the exterior part; seeding is inconsistent"
                     )
-    even_target = FreeModule(res_ring, tuple(0 for _ in zp))
-    zp_pos = {h: i for i, h in enumerate(zp)}
-    even_cols = []
-    for src in even_src:
-        comps = [res_ring.zero()] * len(zp)
-        for row, poly in hb.delta.get(src, {}).items():
-            if row in zp_pos:
-                comps[zp_pos[row]] = regrade(poly)
-        even_cols.append(ModuleElement(even_target, tuple(comps)))
-    even_source = FreeModule(res_ring, tuple(hb.h_degrees[i] // 2 for i in even_src))
-    map_even = PresentationMap(even_source, even_target, tuple(even_cols))
+    map_even = _restrict(
+        hb, even_src, zp, res_ring, (degrees[i] // 2 for i in even_src), (0 for _ in zp)
+    )
 
     # Odd map: project delta on odd classes onto everything below the first
     # degree with odd cohomology.
-    odd_degrees = sorted({hb.h_degrees[i] for i in range(hb.h_rank) if hb.h_degrees[i] % 2})
+    odd_degrees = sorted({d for d in degrees if d % 2})
     k_first = odd_degrees[0] if odd_degrees else None
-    odd_src = [i for i in range(hb.h_rank) if hb.h_degrees[i] % 2 == 1]
-    low = [i for i in range(hb.h_rank) if k_first is not None and hb.h_degrees[i] < k_first]
-    low_pos = {h: i for i, h in enumerate(low)}
-    odd_target = FreeModule(res_ring, tuple(hb.h_degrees[i] // 2 for i in low))
-    odd_cols = []
-    for src in odd_src:
-        comps = [res_ring.zero()] * len(low)
-        for row, poly in hb.delta.get(src, {}).items():
-            if row in low_pos:
-                comps[low_pos[row]] = regrade(poly)
-        odd_cols.append(ModuleElement(odd_target, tuple(comps)))
-    odd_source = FreeModule(res_ring, tuple((hb.h_degrees[i] + 1) // 2 for i in odd_src))
-    map_odd = PresentationMap(odd_source, odd_target, tuple(odd_cols))
+    odd_src = [i for i in range(hb.h_rank) if degrees[i] % 2 == 1]
+    low = [i for i in range(hb.h_rank) if k_first is not None and degrees[i] < k_first]
+    map_odd = _restrict(
+        hb, odd_src, low, res_ring,
+        ((degrees[i] + 1) // 2 for i in odd_src), (degrees[i] // 2 for i in low),
+    )
 
     return ProjectionMaps(
         map_even=map_even,

@@ -2,9 +2,10 @@
 
 Monomials are sorted words in the generators with Koszul-sign bookkeeping:
 odd generators square to zero and anticommute, even generators are
-polynomial.  Cohomology is computed degree by degree with exact rational
-linear algebra; representatives come from a deterministic echelon choice,
-so runs are reproducible.
+polynomial.  `GradedBasis` owns the degreewise monomial bases, d on them
+and the capacity cap; cohomology and `hirschbrown`'s retract share it.
+Cohomology is computed degree by degree with exact rational linear
+algebra; representatives come from a deterministic echelon choice.
 """
 
 from __future__ import annotations
@@ -307,36 +308,102 @@ class AlgebraElement:
 MAX_BASIS_CAPACITY = 200000
 
 
+def _monomial_counts(model: SullivanModel, top: int):
+    """Monomials per degree 0..top: prod (1 + t^d) over odd generators
+    times prod 1/(1 - t^d) over even ones.  The list stops where the rest
+    is known: past the degree sum if all are odd, and at e * cap for an
+    even generator of degree e, which alone fills every degree e*j."""
+    degrees = [d for _, d in model.generators]
+    evens = [d for d in degrees if d % 2 == 0]
+    counts = [1] + [0] * min(top, min(evens) * MAX_BASIS_CAPACITY if evens else sum(degrees))
+    for d in degrees:
+        steps = range(d, len(counts)) if d % 2 == 0 else range(len(counts) - 1, d - 1, -1)
+        for p in steps:
+            counts[p] += counts[p - d]
+    return counts
+
+
+class GradedBasis:
+    """Indexed monomial bases of a model in degrees 0..top.
+
+    Degree p lists `model.monomial_basis(p)` in order; the global index runs
+    through the degrees in turn.  The size is counted before any monomial
+    is enumerated, and a basis above MAX_BASIS_CAPACITY is refused.
+    """
+
+    def __init__(self, model: SullivanModel, top: int):
+        counts = _monomial_counts(model, top)
+        for p, total in enumerate(itertools.accumulate(counts)):
+            if total > MAX_BASIS_CAPACITY:
+                raise DomainError(
+                    f"the monomial basis through degree {p} has {total} monomials, "
+                    f"above the capacity cap {MAX_BASIS_CAPACITY}"
+                )
+        self.model = model
+        self.by_degree = {}
+        self.monomials = []
+        self.degree_of = []
+        self.index = {}
+        self._start = {}
+        for p in range(top + 1):
+            monos = model.monomial_basis(p) if p < len(counts) and counts[p] else []
+            self.by_degree[p] = monos
+            self._start[p] = len(self.monomials)
+            for m in monos:
+                self.index[m] = len(self.monomials)
+                self.monomials.append(m)
+                self.degree_of.append(p)
+
+    def dim(self, p: int) -> int:
+        return len(self.by_degree.get(p, ()))
+
+    def global_index(self, p: int, local: int) -> int:
+        return self._start[p] + local
+
+    def element_to_local(self, elem: AlgebraElement, p: int):
+        """Coordinates of an element over the degree-p monomials."""
+        vec = [Fraction(0)] * self.dim(p)
+        for m, c in elem.terms.items():
+            idx = self.index.get(m)
+            if idx is None or self.degree_of[idx] != p:
+                raise ValueError("element not homogeneous of the expected degree")
+            vec[idx - self._start[p]] += c
+        return vec
+
+    def local_to_element(self, vec, p: int) -> AlgebraElement:
+        return AlgebraElement(
+            self.model, {m: c for m, c in zip(self.by_degree[p], vec) if c != 0}
+        )
+
+    def d_columns(self, p: int):
+        """d on degree p: one vector over degree p+1 per monomial of degree p."""
+        model = self.model
+        return [
+            self.element_to_local(model.d(AlgebraElement(model, {m: Fraction(1)})), p + 1)
+            for m in self.by_degree[p]
+        ]
+
+
 class CohomologyRing:
     """Betti numbers, representative cycles and products up to a cutoff."""
 
     def __init__(self, model: SullivanModel, cutoff: int):
         self.model = model
         self.cutoff = cutoff
-        self.basis = {}
-        total = 0
-        for p in range(cutoff + 2):
-            self.basis[p] = model.monomial_basis(p)
-            total += len(self.basis[p])
-            if total > MAX_BASIS_CAPACITY:
-                raise DomainError("cutoff exceeds the basis capacity cap")
-        self.index = {p: {m: k for k, m in enumerate(self.basis[p])} for p in self.basis}
+        self.basis = basis = GradedBasis(model, cutoff + 1)
         self._coboundaries = {}
         self._reps = {}
         self.betti = []
         images = []  # d of the degree p-1 monomials, as vectors over degree p
         for p in range(cutoff + 1):
-            n = len(self.basis[p])
+            n = basis.dim(p)
             cob, span = linalg.Subspace(n), linalg.Subspace(n)
             for vec in images:
                 cob.add(vec)
                 span.add(vec)
             self._coboundaries[p] = cob
-            images = [
-                self._vector(model.d(AlgebraElement(model, {m: Fraction(1)})), p + 1)
-                for m in self.basis[p]
-            ]
-            cocycle_matrix = [[col[i] for col in images] for i in range(len(self.basis[p + 1]))]
+            images = basis.d_columns(p)
+            cocycle_matrix = [[col[i] for col in images] for i in range(basis.dim(p + 1))]
             kernel = linalg.kernel_basis(cocycle_matrix, n)
             reps = []
             for vec in kernel:
@@ -347,25 +414,11 @@ class CohomologyRing:
             self._reps[p] = reps
             self.betti.append(len(reps))
 
-    def _vector(self, elem: AlgebraElement, degree: int):
-        vec = [Fraction(0)] * len(self.basis[degree])
-        for m, c in elem.terms.items():
-            if elem.monomial_degree(m) != degree:
-                raise ValueError("element not homogeneous of the expected degree")
-            vec[self.index[degree][m]] += c
-        return vec
-
-    def _element(self, vec, degree: int) -> AlgebraElement:
-        return AlgebraElement(
-            self.model,
-            {m: c for m, c in zip(self.basis[degree], vec) if c != 0},
-        )
-
     def dim(self, p: int) -> int:
         return self.betti[p] if 0 <= p <= self.cutoff else 0
 
     def representatives(self, p: int):
-        return [self._element(v, p) for v in self._reps.get(p, [])]
+        return [self.basis.local_to_element(v, p) for v in self._reps.get(p, [])]
 
     def is_cocycle(self, elem: AlgebraElement) -> bool:
         return self.model.d(elem).is_zero()
@@ -381,7 +434,7 @@ class CohomologyRing:
             raise ValueError(f"degree {p} beyond cutoff {self.cutoff}")
         if not self.is_cocycle(elem):
             raise ValueError("element is not a cocycle")
-        red = self._coboundaries[p].reduce(self._vector(elem, p))
+        red = self._coboundaries[p].reduce(self.basis.element_to_local(elem, p))
         if all(x == 0 for x in red):
             return p, [Fraction(0)] * self.betti[p]
         coeffs = linalg.solve(self._reps[p], red)
@@ -401,19 +454,21 @@ class CohomologyRing:
         return self.coordinates(prod)[1]
 
 
-def cohomology(model: SullivanModel, cutoff: int = None) -> CohomologyRing:
-    """Cohomology with products up to `cutoff`.
-
-    The cutoff defaults to the top degree for a model on odd generators
-    only; models with even generators must say how far to look.
-    """
+def checked_cutoff(model: SullivanModel, cutoff=None) -> int:
+    """The cutoff, defaulting to the top degree for a model on odd generators
+    only; models with even generators must say how far to look."""
     if cutoff is None:
         cutoff = model.top_degree()
         if cutoff is None:
             raise DomainError("cutoff is mandatory when even generators are present")
     if cutoff < 0:
         raise DomainError(f"cutoff must be at least 0 (got {cutoff})")
-    return CohomologyRing(model, cutoff)
+    return cutoff
+
+
+def cohomology(model: SullivanModel, cutoff: int = None) -> CohomologyRing:
+    """Cohomology with products up to `checked_cutoff(model, cutoff)`."""
+    return CohomologyRing(model, checked_cutoff(model, cutoff))
 
 
 def formal_dimension(h: CohomologyRing) -> int:
@@ -569,7 +624,10 @@ def parse_model(text: str) -> SullivanModel:
     """Parse "gen <name> deg=<int>" and "d <name> = <expr|0>" lines."""
     model, torus = _parse_model_and_torus(text)
     if torus is not None:
-        raise ParseError("file has a torus block; use parse_extension")
+        raise ParseError(
+            "file has a torus block; use parse_extension "
+            "(the hb-build, hb-check and hb-pipeline commands read such files)"
+        )
     return model
 
 
@@ -722,7 +780,10 @@ def parse_extension(text: str) -> ActionExtension:
     """Parse a model file that carries a torus block."""
     base, torus = _parse_model_and_torus(text)
     if torus is None:
-        raise ParseError("file has no 'torus r=...' line; use parse_model")
+        raise ParseError(
+            "file has no 'torus r=...' line; use parse_model "
+            "(the model-cohomology and csympl commands read such files)"
+        )
     torus_rank, big_d_lines = torus
     xnames = [f"X{i + 1}" for i in range(torus_rank)]
     gens = [(n, 2) for n in xnames] + list(base.generators)

@@ -20,6 +20,22 @@ def data_text(name: str) -> str:
     return (DATA / name).read_text()
 
 
+# Four polynomial generators of degree 2 and one of degree 1: far more
+# monomials through degree 121 than the basis capacity cap allows.
+CAP_GENERATORS = [(f"y{i}", 2) for i in range(1, 5)] + [("x", 1)]
+CAP_MESSAGE = "through degree 75 has 202540 monomials, above the capacity cap 200000"
+
+
+def refuse_enumeration(model):
+    """Make listing any monomial basis of `model` fail the test."""
+
+    def fail(degree):
+        raise AssertionError(f"monomials of degree {degree} enumerated")
+
+    model.monomial_basis = fail
+    return model
+
+
 def random_homogeneous_entry(rng, ring, degree):
     """Zero, a monomial, or a binomial, homogeneous of the given degree."""
     kind = rng.randrange(4)

@@ -244,6 +244,38 @@ class TestModelCommands:
         assert out == ""
         assert "cutoff must be at least 0" in err
 
+    @pytest.mark.parametrize(
+        "command,torus",
+        [("model-cohomology", ""), ("csympl", ""), ("hb-build", "torus r=1\nD x = X1\n"),
+         ("hb-check", "torus r=1\nD x = X1\n"), ("hb-pipeline", "torus r=1\nD x = X1\n")],
+    )
+    def test_capacity_cap_fails_fast(self, capsys, tmp_path, command, torus):
+        f = tmp_path / "big.sul"
+        gens = "".join(f"gen y{i} deg=2\nd y{i} = 0\n" for i in range(1, 5))
+        f.write_text(gens + "gen x deg=1\nd x = 0\n" + torus)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--in", str(f), "--cutoff", "120")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        stage = "[stage build_retract] " if command == "hb-pipeline" else ""
+        assert err == (
+            f"error: {stage}the monomial basis through degree 75 has 202540 monomials, "
+            "above the capacity cap 200000\n"
+        )
+
+    def test_model_command_on_an_extension_file_names_the_hb_commands(self, capsys):
+        code, out, err = run(capsys, "model-cohomology", "--in", str(DATA / "circle.sul"))
+        assert code == 2
+        assert "the hb-build, hb-check and hb-pipeline commands read such files" in err
+
+    def test_hb_command_on_a_plain_model_names_the_model_commands(self, capsys, tmp_path):
+        f = tmp_path / "m.sul"
+        f.write_text("gen x deg=1\nd x = 0\n")
+        code, out, err = run(capsys, "hb-build", "--in", str(f))
+        assert code == 2
+        assert "the model-cohomology and csympl commands read such files" in err
+
     def test_hb_build_writes_presentation(self, capsys, tmp_path):
         out_file = tmp_path / "delta.pres"
         code, out, _ = run(

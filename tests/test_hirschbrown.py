@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from toralrank.cli import run_pipeline
-from toralrank.errors import ValidationError
+from toralrank.errors import DomainError, ValidationError
 from toralrank.groebner import finite_length_and_hilbert
 from toralrank.hirschbrown import (
     OperatorContext,
@@ -21,7 +21,7 @@ from toralrank.polyring import Ring
 from toralrank.resolutions import check_generator_ratio
 from toralrank.sullivan import AlgebraElement, SullivanModel, parse_extension, parse_model
 
-from conftest import data_text
+from conftest import CAP_GENERATORS, CAP_MESSAGE, data_text, refuse_enumeration
 
 
 def load_ext(name):
@@ -124,6 +124,11 @@ class TestRetract:
         vec = rd.basis.element_to_local(boundary, 2)
         coords = rd.g_local(2, vec)
         assert coords == {}
+
+    def test_capacity_cap_fails_before_enumerating(self):
+        m = refuse_enumeration(SullivanModel(CAP_GENERATORS))
+        with pytest.raises(DomainError, match=CAP_MESSAGE):
+            build_retract(m, 120)
 
     def test_seed_must_be_cycle(self):
         m = parse_model("gen a1 deg=1\ngen b1 deg=1\nd a1 = 0\nd b1 = 0\n")

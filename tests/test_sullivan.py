@@ -7,7 +7,9 @@ from toralrank.errors import DomainError, ParseError, ValidationError
 from toralrank.linalg import rank
 from toralrank.sullivan import (
     AlgebraElement,
+    GradedBasis,
     SullivanModel,
+    _monomial_counts,
     _pairing_matrix,
     c_symplectic_check,
     cohomology,
@@ -18,7 +20,7 @@ from toralrank.sullivan import (
     poincare_duality_holds,
 )
 
-from conftest import SEED, data_text
+from conftest import CAP_GENERATORS, CAP_MESSAGE, SEED, data_text, refuse_enumeration
 
 NIL_BETTI = [1, 3, 8, 12, 8, 3, 1]
 
@@ -180,6 +182,36 @@ class TestCohomology:
             for i in range(h.dim(p)):
                 for j in range(h.dim(q)):
                     assert mat[i][j] == sign * tam[j][i]
+
+
+class TestGradedBasis:
+    def test_counts_match_enumeration(self):
+        m = SullivanModel([("x", 1), ("u", 2), ("y", 3), ("v", 4)])
+        assert _monomial_counts(m, 12) == [len(m.monomial_basis(p)) for p in range(13)]
+        # With odd generators only the count stops at the degree sum.
+        assert _monomial_counts(nil_model(), 9) == [1, 6, 15, 20, 15, 6, 1]
+
+    def test_coordinates_round_trip(self):
+        m = nil_model()
+        basis = GradedBasis(m, 3)
+        elem = m.gen("a1") * m.gen("b2") - m.gen("a2") * m.gen("a3")
+        assert basis.local_to_element(basis.element_to_local(elem, 2), 2) == elem
+        b3 = basis.by_degree[1].index(((5, 1),))
+        assert basis.local_to_element(basis.d_columns(1)[b3], 2) == m.gen("a1") * m.gen("a2")
+        assert basis.global_index(2, 0) == 1 + 6
+
+    def test_element_to_local_refuses_another_degree(self):
+        m = nil_model()
+        basis = GradedBasis(m, 3)
+        with pytest.raises(ValueError):
+            basis.element_to_local(m.gen("a1"), 2)
+        with pytest.raises(ValueError):
+            basis.element_to_local(m.gen("a1") + m.gen("a2") * m.gen("a3"), 1)
+
+    def test_capacity_cap_fails_before_enumerating(self):
+        m = refuse_enumeration(SullivanModel(CAP_GENERATORS))
+        with pytest.raises(DomainError, match=CAP_MESSAGE):
+            cohomology(m, cutoff=120)
 
 
 class TestCSymplectic:
