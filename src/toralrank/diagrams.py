@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInConeError, ParseError
+from .polyring import parse_coefficient, parse_int
 
 
 class BettiDiagram:
@@ -226,7 +227,7 @@ def _admissible_sequences(N, r):
 
 
 def parse_diagram(text: str) -> BettiDiagram:
-    """Lines "<i> <j> <p>[/<q>]"; "#" starts a comment."""
+    """Lines "<i> <j> <p>[/<q>]" of integers, q nonzero; "#" starts a comment."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -235,11 +236,9 @@ def parse_diagram(text: str) -> BettiDiagram:
         toks = line.split()
         if len(toks) != 3:
             raise ParseError(f"line {lineno}: expected '<i> <j> <value>'")
-        try:
-            i, j = int(toks[0]), int(toks[1])
-            v = Fraction(toks[2])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+        where = f"line {lineno}"
+        i, j = parse_int(toks[0], where), parse_int(toks[1], where)
+        v = parse_coefficient(toks[2], where)
         entries[(i, j)] = entries.get((i, j), Fraction(0)) + v
     return BettiDiagram(entries)
 

@@ -27,6 +27,10 @@ class NotInConeError(ValueError):
     """A diagram is not a positive combination of admissible pure diagrams."""
 
 
+class NotInSpanError(ValueError):
+    """An element is not in the span of the columns it should be lifted along."""
+
+
 class DomainError(ValueError):
     """Arguments violate the stated hypotheses of a formula."""
 

@@ -18,6 +18,14 @@ basis, and handed to every division against that basis.
 The syzygy machinery follows the classical cofactor construction: every
 S-pair of a Groebner basis reduces to zero, and the bookkeeping of that
 reduction is a generator of the syzygy module.
+
+Tracked bases live here and nowhere else.  A tracked Buchberger pass on
+the columns of a map keeps, for every basis element, its coefficients over
+the columns, that is, an element of the map's source.  The one lift,
+`_TrackedColumns.lift`, divides an element by the basis and combines the
+cofactors with those coefficients.  `syzygies_of_columns` and
+`quotient_presentation` are its two public users, and each builds one
+tracked basis per map.
 """
 
 from __future__ import annotations
@@ -28,27 +36,23 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DegreeCapError, DomainError, InhomogeneousError, ParseError, RingMismatchError
-from .polyring import FreeModule, ModuleElement, Polynomial, Ring, _degrevlex_key, parse_int, parse_poly
+from .errors import (
+    DegreeCapError, DomainError, InhomogeneousError, NotInSpanError, ParseError, RingMismatchError
+)
+from .polyring import FreeModule, ModuleElement, Polynomial, Ring, degrevlex_key, parse_int, parse_poly
 
 DEFAULT_DEGREE_CAP = 64
 # Standard monomials a finite-length test may enumerate, summed over components.
 MAX_STANDARD_BOX = 200000
 
 
-class ModuleOrder:
-    """Position-over-term / degrevlex; the only order this package ships."""
-
-    name = "position-over-term, degrevlex, lower generator index first"
-
-    @staticmethod
-    def sort_key(term):
-        (exp, comp) = term
-        # Ascending sort by this key lists terms from largest to smallest.
-        return (comp, -sum(exp), tuple(reversed(exp)))
-
-
-POT_DEGREVLEX = ModuleOrder()
+def _term_key(term):
+    """Key of a term (exponent, component) in the one module order this
+    package ships: position over term, then degrevlex, lower generator
+    index first.  Ascending sort by this key lists terms from largest to
+    smallest."""
+    exp, comp = term
+    return (comp, *degrevlex_key(exp))
 
 
 def leading_term(e: ModuleElement):
@@ -56,7 +60,7 @@ def leading_term(e: ModuleElement):
     # Position over term: the lead lies in the first nonzero component.
     for comp, p in enumerate(e.components):
         if p.terms:
-            exp = min(p.terms, key=_degrevlex_key)
+            exp = min(p.terms, key=degrevlex_key)
             return (exp, comp), p.terms[exp]
     return None
 
@@ -87,7 +91,6 @@ def _internal_degree(module: FreeModule, exp, comp) -> int:
 class GroebnerBasis:
     module: FreeModule
     elements: tuple
-    order: ModuleOrder = POT_DEGREVLEX
 
     def __iter__(self):
         return iter(self.elements)
@@ -124,7 +127,7 @@ def division(e: ModuleElement, basis, with_cofactors=False, leads=None):
     # earlier one: so each component is finished before the next.
     for comp, terms in enumerate(work):
         while terms:
-            exp = min(terms, key=_degrevlex_key)
+            exp = min(terms, key=degrevlex_key)
             coeff = terms[exp]
             for i, gexp, gcoeff in divisors.get(comp, ()):
                 if _divides(gexp, exp):
@@ -190,7 +193,7 @@ def buchberger(gens, degree_cap: int = DEFAULT_DEGREE_CAP, module: FreeModule = 
 
 
 def _buchberger_tracked(gens, degree_cap, track=True, module=None):
-    gens = [g for g in gens]
+    gens = list(gens)
     if not gens:
         if module is None:
             raise ValueError("empty generator list needs an explicit module")
@@ -242,12 +245,9 @@ def _buchberger_tracked(gens, degree_cap, track=True, module=None):
         if rem.is_zero():
             continue
         if track:
-            rep = [zero_poly] * len(gens)
-            for k, q in enumerate(cof):
-                if not q.is_zero():
-                    rep = [a - q * b for a, b in zip(rep, reps[k])]
-            rep = [a + b for a, b in zip(rep, _scaled_rep(reps[i], mono_i, module))]
-            rep = [a - b for a, b in zip(rep, _scaled_rep(reps[j], mono_j, module))]
+            rep = _combine([zero_poly] * len(gens), [-q for q in cof], reps)
+            rep = [a + b.monomial_mul(mono_i) for a, b in zip(rep, reps[i])]
+            rep = [a - b.monomial_mul(mono_j) for a, b in zip(rep, reps[j])]
         else:
             rep = None
         add_element(rem, rep)
@@ -257,16 +257,10 @@ def _buchberger_tracked(gens, degree_cap, track=True, module=None):
     return gb, reps
 
 
-def _scaled_rep(rep, mono, module):
-    return [p.monomial_mul(mono) for p in rep]
-
-
 def _interreduce(basis, leads, reps, track):
     # Smallest leading term first, so redundant larger leads get dropped.
-    order = sorted(range(len(basis)), key=lambda i: ModuleOrder.sort_key(leads[i][0]), reverse=True)
-    kept = []
-    kept_leads = []
-    kept_reps = []
+    order = sorted(range(len(basis)), key=lambda i: _term_key(leads[i][0]), reverse=True)
+    kept, kept_leads, kept_reps = [], [], []
     for i in order:
         (exp, comp), _ = leads[i]
         if any(c == comp and _divides(e, exp) for (e, c), _ in kept_leads):
@@ -276,21 +270,24 @@ def _interreduce(basis, leads, reps, track):
         kept_reps.append(reps[i] if track else None)
     # Tail-reduce each against the others; leading terms do not move, so a
     # single full pass yields the reduced basis.
-    reduced = []
-    reduced_reps = []
+    reduced, reduced_reps = [], []
     for idx, e in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         rem, cof = division(e, others, with_cofactors=True, leads=kept_leads[:idx] + kept_leads[idx + 1 :])
         scale = 1 / leading_term(rem)[1]
         reduced.append(rem.scale(scale))
         if track:
-            other_reps = kept_reps[:idx] + kept_reps[idx + 1 :]
-            rep = kept_reps[idx]
-            for q, orep in zip(cof, other_reps):
-                if not q.is_zero():
-                    rep = [a - q * b for a, b in zip(rep, orep)]
+            rep = _combine(kept_reps[idx], [-q for q in cof], kept_reps[:idx] + kept_reps[idx + 1 :])
             reduced_reps.append([p.scale(scale) for p in rep])
     return reduced, reduced_reps
+
+
+def _combine(acc, coeffs, reps):
+    """acc + sum_k coeffs[k] * reps[k] for vectors of polynomials, skipping zero coefficients."""
+    for q, rep in zip(coeffs, reps):
+        if not q.is_zero():
+            acc = [a + q * b for a, b in zip(acc, rep)]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +338,8 @@ class PresentationMap:
 
     @classmethod
     def from_columns(cls, target: FreeModule, columns, zero_degree=0):
-        degs = []
-        for col in columns:
-            d = col.degree()
-            degs.append(zero_degree if d is None else d)
-        source = FreeModule(target.ring, tuple(degs))
-        return cls(source, target, columns)
+        degs = tuple(zero_degree if (d := col.degree()) is None else d for col in columns)
+        return cls(FreeModule(target.ring, degs), target, columns)
 
     @classmethod
     def from_matrix(cls, ring: Ring, target_degrees, rows):
@@ -359,20 +352,11 @@ class PresentationMap:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged matrix")
-        cols = []
-        for j in range(ncols):
-            cols.append(ModuleElement(target, tuple(rows[i][j] for i in range(k))))
+        cols = [ModuleElement(target, tuple(rows[i][j] for i in range(k))) for j in range(ncols)]
         return cls.from_columns(target, cols)
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.columns[j].components[i]
-
-    @property
-    def matrix(self):
-        return [
-            [self.entry(i, j) for j in range(self.source.rank)]
-            for i in range(self.target.rank)
-        ]
 
     def image_in_augmentation_ideal(self) -> bool:
         """True when no entry has a constant term (image inside I*target)."""
@@ -416,11 +400,7 @@ def syzygy_basis(gb: GroebnerBasis) -> PresentationMap:
     """
     module = gb.module
     elements = list(gb.elements)
-    degs = []
-    for e in elements:
-        d = e.degree()
-        degs.append(0 if d is None else d)
-    syz_target = FreeModule(module.ring, tuple(degs))
+    syz_target = FreeModule(module.ring, tuple(e.degree() or 0 for e in elements))
     leads = gb.leads
     columns = []
     for i, j in itertools.combinations(range(len(elements)), 2):
@@ -445,10 +425,48 @@ def _sorted_columns(columns):
     def key(col):
         d = col.degree()
         lt = leading_term(col)
-        return (d if d is not None else -1, ModuleOrder.sort_key(lt[0]) if lt else ())
+        return (d if d is not None else -1, _term_key(lt[0]) if lt else ())
 
     # dict.fromkeys keeps the first of equal columns, in sorted order.
     return list(dict.fromkeys(sorted(columns, key=key)))
+
+
+class _TrackedColumns:
+    """One tracked Groebner basis of the columns of p.
+
+    reps[k] gives gb.elements[k] as coefficients over all columns of p, so
+    as an element of p.source; the zero columns, which the pass skips, keep
+    coefficient zero.
+    """
+
+    def __init__(self, p: PresentationMap, degree_cap: int):
+        self.p = p
+        self.gb, self.reps = _buchberger_tracked(p.columns, degree_cap, module=p.target)
+
+    def lift(self, e: ModuleElement):
+        """(remainder, x) with p(x) + remainder == e, from one division by the basis."""
+        rem, cof = division(e, self.gb.elements, with_cofactors=True, leads=self.gb.leads)
+        return rem, self._source_element(cof)
+
+    def _source_element(self, coeffs) -> ModuleElement:
+        """sum_k coeffs[k] * reps[k] in p.source."""
+        zero = [self.p.target.ring.zero()] * self.p.source.rank
+        return ModuleElement(self.p.source, tuple(_combine(zero, coeffs, self.reps)))
+
+    def syzygy_columns(self):
+        """Generators of ker(p), sorted: the unit vectors of the zero columns,
+        the cofactor syzygies of the basis, and lift(c) - e_j for each
+        nonzero column c = p(e_j)."""
+        p = self.p
+        cols = [p.source.generator(j) for j, c in enumerate(p.columns) if c.is_zero()]
+        cols.extend(self._source_element(syz.components) for syz in syzygy_basis(self.gb).columns)
+        for j, c in enumerate(p.columns):
+            if not c.is_zero():
+                rem, lifted = self.lift(c)
+                if not rem.is_zero():
+                    raise ValueError("column failed to reduce against its own basis")
+                cols.append(lifted - p.source.generator(j))
+        return _sorted_columns([c for c in cols if not c.is_zero()])
 
 
 def syzygies_of_columns(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> PresentationMap:
@@ -458,53 +476,28 @@ def syzygies_of_columns(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP
     syzygies of the basis, and converts both them and the division
     discrepancies of the original columns back to source coordinates.
     """
-    module = p.target
-    cols = list(p.columns)
-    nonzero = [(j, c) for j, c in enumerate(cols) if not c.is_zero()]
-    out_cols = []
-
-    # A zero column is itself a syzygy generator.
-    for j, c in enumerate(cols):
-        if c.is_zero():
-            out_cols.append(p.source.generator(j))
-
-    if nonzero:
-        gens = [c for _, c in nonzero]
-        gb, reps = _buchberger_tracked(gens, degree_cap, track=True)
-        # reps[k] expresses gb.elements[k] in terms of gens.
-        syz = syzygy_basis(gb)
-        for syzcol in syz.columns:
-            acc = _combine(module.ring, len(gens), syzcol.components, reps)
-            out_cols.append(_lift_to_source(p, nonzero, acc))
-        # Discrepancy syzygies: c_j - sum(W_kj * g_k) with remainder zero.
-        for pos, (j, c) in enumerate(nonzero):
-            rem, cof = division(c, gb.elements, with_cofactors=True, leads=gb.leads)
-            if not rem.is_zero():
-                raise ValueError("column failed to reduce against its own basis")
-            acc = _combine(module.ring, len(gens), cof, reps)
-            acc[pos] = acc[pos] - module.ring.one()
-            col = _lift_to_source(p, nonzero, acc)
-            if not col.is_zero():
-                out_cols.append(col)
-
-    out_cols = _sorted_columns([c for c in out_cols if not c.is_zero()])
-    return PresentationMap.from_columns(p.source, out_cols)
+    return PresentationMap.from_columns(p.source, _TrackedColumns(p, degree_cap).syzygy_columns())
 
 
-def _combine(ring, n, coeffs, reps):
-    """sum_k coeffs[k] * reps[k] for vectors reps[k] of n polynomials, skipping zero coeffs."""
-    acc = [ring.zero()] * n
-    for q, rep in zip(coeffs, reps):
-        if not q.is_zero():
-            acc = [a + q * b for a, b in zip(acc, rep)]
-    return acc
+def quotient_presentation(k: PresentationMap, elements, degree_cap=DEFAULT_DEGREE_CAP) -> PresentationMap:
+    """Present span(columns of k) / span(elements) on the generators of k.
 
-
-def _lift_to_source(p, nonzero, acc):
-    comps = [p.target.ring.zero()] * p.source.rank
-    for (j, _), poly in zip(nonzero, acc):
-        comps[j] = comps[j] + poly
-    return ModuleElement(p.source, tuple(comps))
+    Every element must lie in k.target and in the span of k's columns, or
+    NotInSpanError is raised.  The columns of the result are the nonzero
+    lifts of the elements to k.source, in order, followed by the columns of
+    syzygies_of_columns(k); one tracked basis of k's columns serves both.
+    """
+    tracked = _TrackedColumns(k, degree_cap)
+    cols = []
+    for e in elements:
+        if e.module != k.target:
+            raise RingMismatchError("element outside the target module")
+        rem, lifted = tracked.lift(e)
+        if not rem.is_zero():
+            raise NotInSpanError("an element is not in the span of the columns")
+        cols.append(lifted)
+    cols.extend(tracked.syzygy_columns())
+    return PresentationMap.from_columns(k.source, [c for c in cols if not c.is_zero()])
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +534,9 @@ def _finite_length_and_hilbert(p: PresentationMap, degree_cap: int) -> FiniteLen
         raise DomainError("finite_length_and_hilbert needs nonnegative generator degrees")
     if module.rank == 0:
         return FiniteLengthReport(True, (), 0, None)
-    gens = [c for c in p.columns if not c.is_zero()]
-    if gens:
-        gb = buchberger(gens, degree_cap)
-        lead = {}
-        for (exp, comp), _ in gb.leads:
-            lead.setdefault(comp, []).append(exp)
-    else:
-        lead = {}
+    lead = {}
+    for (exp, comp), _ in buchberger(p.columns, degree_cap, module).leads:
+        lead.setdefault(comp, []).append(exp)
 
     nvars = ring.num_vars
     bounds = []

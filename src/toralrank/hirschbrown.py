@@ -21,15 +21,13 @@ from functools import cached_property, partial
 from fractions import Fraction
 
 from . import linalg
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NotInSpanError, ValidationError
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     FiniteLengthReport,
     PresentationMap,
-    _buchberger_tracked,
-    _combine,
-    division,
     finite_length_and_hilbert,
+    quotient_presentation,
     syzygies_of_columns,
 )
 from .polyring import FreeModule, ModuleElement, Polynomial, Ring
@@ -118,7 +116,7 @@ def build_retract(model: SullivanModel, cutoff: int = None, seed=None) -> Retrac
     h_info = []
     a_count, b_count, c_locals, h_offset = {}, {}, {}, {}
     g_table, phi_table = [], []
-    for p in range(cutoff + 1):
+    for p in basis.degrees_through(cutoff):
         n = basis.dim(p)
         d_cols = basis.d_columns(p)
         # C: pivot monomials of d_p (their images form a basis of B_{p+1}).
@@ -588,17 +586,10 @@ def hb_cohomology_finite(hb: HirschBrownModel, degree_cap: int = DEFAULT_DEGREE_
     as a cokernel and run through the finite-length test.  total_dim is the
     sum over both parities when finite.
     """
-    parts = {}
-    total = 0
-    finite = True
-    for parity in (0, 1):
-        rep = _homology_presentation(hb, parity, degree_cap)
-        parts["even" if parity == 0 else "odd"] = rep
-        if not rep.finite:
-            finite = False
-        else:
-            total += rep.total_dim
-    return HBFiniteReport(finite, total if finite else None, parts)
+    reports = [_homology_presentation(hb, parity, degree_cap) for parity in (0, 1)]
+    finite = all(reports)
+    total = sum(rep.total_dim for rep in reports) if finite else None
+    return HBFiniteReport(finite, total, dict(zip(("even", "odd"), reports)))
 
 
 def _parity_indices(hb, parity):
@@ -637,9 +628,12 @@ def _delta_map(hb: HirschBrownModel, parity: int = None) -> PresentationMap:
 def _homology_presentation(hb, parity, degree_cap):
     """Present ker(delta|parity) / im(delta|other parity) as a cokernel.
 
-    Degrees inside the presentation are uniformly the cdga degree + 1 (the
-    kernel is computed in the source grading of the delta map); the shift
-    does not affect finiteness or total dimension.
+    The kernel generators are the columns of `syzygies_of_columns`;
+    `quotient_presentation` lifts the image into them and adds the
+    relations among the generators themselves.  Degrees inside the
+    presentation are uniformly the cdga degree + 1 (the kernel is computed
+    in the source grading of the delta map); the shift does not affect
+    finiteness or total dimension.
     """
     out_map = _delta_map(hb, parity)
     in_map = _delta_map(hb, 1 - parity)
@@ -651,21 +645,11 @@ def _homology_presentation(hb, parity, degree_cap):
         if any(not c.is_zero() for c in in_map.columns):
             raise ValidationError("delta^2 != 0: image is not contained in the kernel")
         return FiniteLengthReport(True, (0,), 0, None)
-    gb, reps = _buchberger_tracked(list(kernel.columns), degree_cap, track=True)
-    lifted_cols = []
-    for col in in_map.columns:
-        as_kernel_elem = ModuleElement(kernel.target, col.components)
-        rem, cof = division(as_kernel_elem, gb.elements, with_cofactors=True, leads=gb.leads)
-        if not rem.is_zero():
-            raise ValidationError("delta^2 != 0: an image column is not in the kernel")
-        lifted_cols.append(_combine(hb.ring, kernel.source.rank, cof, reps))
-    target = kernel.source
-    cols = [ModuleElement(target, tuple(acc)) for acc in lifted_cols]
-    # The chosen kernel generators may have relations of their own; the
-    # quotient presentation must divide by those as well.
-    cols.extend(syzygies_of_columns(kernel, degree_cap).columns)
-    cols = [c for c in cols if not c.is_zero()]
-    pres = PresentationMap.from_columns(target, tuple(cols))
+    image = [ModuleElement(kernel.target, col.components) for col in in_map.columns]
+    try:
+        pres = quotient_presentation(kernel, image, degree_cap)
+    except NotInSpanError:
+        raise ValidationError("delta^2 != 0: an image column is not in the kernel") from None
     return finite_length_and_hilbert(pres, degree_cap)
 
 

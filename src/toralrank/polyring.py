@@ -80,7 +80,7 @@ class Ring:
         return None
 
 
-def _degrevlex_key(exp):
+def degrevlex_key(exp):
     # Sorting exponent vectors ascending by this key lists them in
     # *descending* degree-reverse-lexicographic order.
     return (-sum(exp), tuple(reversed(exp)))
@@ -114,7 +114,7 @@ class Polynomial:
         return self.terms.get((0,) * self.ring.num_vars, Fraction(0))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _degrevlex_key(t[0]))
+        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -237,7 +237,10 @@ def tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("int", int(text[i:j]), i))
+            try:
+                toks.append(("int", int(text[i:j]), i))
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError(f"integer of {j - i} digits is too long", i) from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -259,6 +262,21 @@ def parse_int(token: str, where: str) -> int:
         return int(token)
     except ValueError:
         raise ParseError(f"{where}: expected an integer, got {token!r}") from None
+
+
+def parse_coefficient(token: str, where: str) -> Fraction:
+    """`["-"] int ["/" int]` with a nonzero denominator, the coefficient
+    grammar of `parse_expression`; a ParseError names `where` otherwise."""
+    try:
+        ts = _TokenStream(tokenize(token), len(token))
+        sign = -1 if ts.accept_op("-") else 1
+        if ts.peek()[0] == "int":
+            value = _parse_coeff(ts)
+            if ts.peek()[0] is None:
+                return sign * value
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    raise ParseError(f"{where}: expected <p>[/<q>], got {token!r}")
 
 
 class _TokenStream:

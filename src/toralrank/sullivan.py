@@ -204,12 +204,6 @@ class AlgebraElement:
             return None
         return max(self.monomial_degree(m) for m in self.terms)
 
-    def homogeneous_part(self, degree: int) -> "AlgebraElement":
-        return AlgebraElement(
-            self.model,
-            {m: c for m, c in self.terms.items() if self.monomial_degree(m) == degree},
-        )
-
     def __add__(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -328,7 +322,9 @@ class GradedBasis:
 
     Degree p lists `model.monomial_basis(p)` in order; the global index runs
     through the degrees in turn.  The size is counted before any monomial
-    is enumerated, and a basis above MAX_BASIS_CAPACITY is refused.
+    is enumerated, and a basis above MAX_BASIS_CAPACITY is refused.  The
+    degrees stop at the model's top degree when it has one: every degree
+    above it is empty.
     """
 
     def __init__(self, model: SullivanModel, top: int):
@@ -345,14 +341,18 @@ class GradedBasis:
         self.degree_of = []
         self.index = {}
         self._start = {}
-        for p in range(top + 1):
-            monos = model.monomial_basis(p) if p < len(counts) and counts[p] else []
+        for p in range(len(counts)):
+            monos = model.monomial_basis(p) if counts[p] else []
             self.by_degree[p] = monos
             self._start[p] = len(self.monomials)
             for m in monos:
                 self.index[m] = len(self.monomials)
                 self.monomials.append(m)
                 self.degree_of.append(p)
+
+    def degrees_through(self, cutoff: int):
+        """Degrees 0..cutoff, less the empty ones above the model's top degree."""
+        return range(min(cutoff + 1, len(self.by_degree)))
 
     def dim(self, p: int) -> int:
         return len(self.by_degree.get(p, ()))
@@ -395,7 +395,7 @@ class CohomologyRing:
         self._reps = {}
         self.betti = []
         images = []  # d of the degree p-1 monomials, as vectors over degree p
-        for p in range(cutoff + 1):
+        for p in basis.degrees_through(cutoff):
             n = basis.dim(p)
             cob, span = linalg.Subspace(n), linalg.Subspace(n)
             for vec in images:
@@ -415,7 +415,7 @@ class CohomologyRing:
             self.betti.append(len(reps))
 
     def dim(self, p: int) -> int:
-        return self.betti[p] if 0 <= p <= self.cutoff else 0
+        return self.betti[p] if 0 <= p < len(self.betti) else 0
 
     def representatives(self, p: int):
         return [self.basis.local_to_element(v, p) for v in self._reps.get(p, [])]
@@ -456,13 +456,17 @@ class CohomologyRing:
 
 def checked_cutoff(model: SullivanModel, cutoff=None) -> int:
     """The cutoff, defaulting to the top degree for a model on odd generators
-    only; models with even generators must say how far to look."""
+    only; models with even generators must say how far to look.  A cutoff
+    above MAX_BASIS_CAPACITY is refused before any work: every degree up to
+    the cutoff is reported, even the empty ones above the top degree."""
     if cutoff is None:
         cutoff = model.top_degree()
         if cutoff is None:
             raise DomainError("cutoff is mandatory when even generators are present")
     if cutoff < 0:
         raise DomainError(f"cutoff must be at least 0 (got {cutoff})")
+    if cutoff > MAX_BASIS_CAPACITY:
+        raise DomainError(f"cutoff {cutoff} is above the capacity cap {MAX_BASIS_CAPACITY}")
     return cutoff
 
 

@@ -114,6 +114,24 @@ class TestDiagramCommands:
         assert code == 0
         assert "all zero: yes" in out
 
+    @pytest.mark.parametrize("command", ["decompose", "hk"])
+    @pytest.mark.parametrize("value", ["3/0", "0.5", "1e999", "1e10000000", "1" * 5000])
+    def test_entry_outside_the_grammar_exits_two(self, tmp_path, command, value):
+        # Entries are <p>[/<q>] with integers p and q, q nonzero; "1e10000000"
+        # alone took seconds to read as a Fraction.
+        f = tmp_path / "d.txt"
+        f.write_text(f"0 0 1\n1 2 {value}\n")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "toralrank", command, "--in", str(f), "--codim", "2"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 2: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestPresentationCommands:
     def test_resolve_matches_golden(self, capsys):
@@ -263,6 +281,28 @@ class TestModelCommands:
             f"error: {stage}the monomial basis through degree 75 has 202540 monomials, "
             "above the capacity cap 200000\n"
         )
+
+    def test_all_odd_cutoff_at_the_cap(self, capsys, tmp_path):
+        f = tmp_path / "m.sul"
+        f.write_text("gen x deg=1\nd x = 0\n")
+        code, out, _ = run(capsys, "model-cohomology", "--in", str(f), "--cutoff", "200000")
+        assert code == 0
+        assert out == "betti: 1 1" + " 0" * 199999 + "\nformal dimension: 1\neuler characteristic: 0\n"
+
+    @pytest.mark.parametrize("command,torus", [("model-cohomology", ""), ("hb-pipeline", "torus r=1\nD x = X1\n")])
+    def test_cutoff_above_the_cap_fails_fast(self, tmp_path, command, torus):
+        f = tmp_path / "m.sul"
+        f.write_text("gen x deg=1\nd x = 0\n" + torus)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "toralrank", command, "--in", str(f), "--cutoff", "10000000"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("cutoff 10000000 is above the capacity cap 200000\n")
 
     def test_model_command_on_an_extension_file_names_the_hb_commands(self, capsys):
         code, out, err = run(capsys, "model-cohomology", "--in", str(DATA / "circle.sul"))

@@ -16,7 +16,7 @@ from toralrank.diagrams import (
     parse_diagram,
     pure_diagram,
 )
-from toralrank.errors import NotInConeError
+from toralrank.errors import NotInConeError, ParseError
 from toralrank.groebner import finite_length_and_hilbert
 from toralrank.resolutions import minimal_free_resolution
 
@@ -152,6 +152,14 @@ class TestIO:
         d = parse_diagram("# header\n0 0 1/3\n1 1 1/2  # trailing comment\n")
         assert d.entry(0, 0) == Fraction(1, 3)
         assert d.entry(1, 1) == Fraction(1, 2)
+
+    def test_parse_negative_entry(self):
+        assert parse_diagram("2 3 -7/4\n").entry(2, 3) == Fraction(-7, 4)
+
+    @pytest.mark.parametrize("line", ["1 2 3/0", "1 2 0.5", "1 2 1e999", "1 2 +3", "1 2 3/-2", "1.0 2 3", "1 x 3"])
+    def test_parse_refuses_entries_outside_the_grammar(self, line):
+        with pytest.raises(ParseError, match="^line 1: "):
+            parse_diagram(line + "\n")
 
     def test_windowed_array(self):
         table = format_betti_table(EX33)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toralrank.errors import DegreeCapError, InhomogeneousError, ParseError
+from toralrank.errors import DegreeCapError, InhomogeneousError, NotInSpanError, ParseError, RingMismatchError
 from toralrank.groebner import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
@@ -17,6 +17,7 @@ from toralrank.groebner import (
     leading_term,
     normal_form,
     parse_presentation,
+    quotient_presentation,
     s_pair_data,
     syzygy_basis,
     syzygies_of_columns,
@@ -204,6 +205,36 @@ class TestSyzygies:
             for coeff, c in zip(col.components, p.columns):
                 acc = acc + c.poly_mul(coeff)
             assert acc.is_zero()
+
+
+class TestQuotientPresentation:
+    @pytest.mark.parametrize("name", ["m23.pres", "m24.pres", "ex33.pres"])
+    def test_lifts_then_column_syzygies(self, name):
+        k = matrix_columns(data_text(name))
+        x = k.target.ring.variable(0)
+        # x * (column 0), the last column, and zero.
+        elements = [k.columns[0].poly_mul(x), k.columns[-1], k.target.zero_element()]
+        pres = quotient_presentation(k, elements)
+        syz = syzygies_of_columns(k).columns
+        assert pres.target == k.source
+        assert pres.columns[2:] == syz
+        # Each lift maps onto its element.
+        lifts = PresentationMap.from_columns(k.source, pres.columns[:2])
+        assert k.compose(lifts).columns == tuple(elements[:2])
+
+    def test_refuses_an_element_outside_the_span(self):
+        F = rank1_module(ring2())
+        k = PresentationMap.from_columns(F, [elem(F, "x^2"), elem(F, "x*y")])
+        with pytest.raises(NotInSpanError):
+            quotient_presentation(k, [elem(F, "y^2")])
+        with pytest.raises(RingMismatchError):
+            quotient_presentation(k, [ModuleElement(FreeModule(F.ring, (1,)), (parse_poly("x", F.ring),))])
+
+    def test_all_zero_columns(self):
+        F = FreeModule(ring2(), (0, 1))
+        k = PresentationMap(FreeModule(F.ring, (1, 2)), F, [F.zero_element()] * 2)
+        pres = quotient_presentation(k, [F.zero_element()])
+        assert pres.columns == (k.source.generator(0), k.source.generator(1))
 
 
 class TestFiniteLength:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from toralrank.cli import run_pipeline
 from toralrank.errors import DomainError, ValidationError
 from toralrank.groebner import finite_length_and_hilbert
 from toralrank.hirschbrown import (
+    HirschBrownModel,
     OperatorContext,
     build_retract,
     hb_cohomology_finite,
@@ -19,7 +21,7 @@ from toralrank.hirschbrown import (
 )
 from toralrank.polyring import Ring
 from toralrank.resolutions import check_generator_ratio
-from toralrank.sullivan import AlgebraElement, SullivanModel, parse_extension, parse_model
+from toralrank.sullivan import AlgebraElement, GradedBasis, SullivanModel, parse_extension, parse_model
 
 from conftest import CAP_GENERATORS, CAP_MESSAGE, data_text, refuse_enumeration
 
@@ -129,6 +131,15 @@ class TestRetract:
         m = refuse_enumeration(SullivanModel(CAP_GENERATORS))
         with pytest.raises(DomainError, match=CAP_MESSAGE):
             build_retract(m, 120)
+
+    def test_all_odd_walk_stops_at_the_top_degree(self, monkeypatch):
+        walked = []
+        d_columns = GradedBasis.d_columns
+        monkeypatch.setattr(GradedBasis, "d_columns", lambda basis, p: walked.append(p) or d_columns(basis, p))
+        rd = build_retract(SullivanModel([("x1", 1), ("x2", 1)]), cutoff=100000)
+        assert walked == [0, 1, 2]
+        assert [rd.dim_A(p) for p in range(4)] == [1, 2, 1, 0]
+        assert len(rd.g_table) == 4
 
     def test_seed_must_be_cycle(self):
         m = parse_model("gen a1 deg=1\ngen b1 deg=1\nd a1 = 0\nd b1 = 0\n")
@@ -284,6 +295,54 @@ class TestHomology:
         hb = perturb(ext, rd)
         fin = hb_cohomology_finite(hb)
         assert not fin.finite
+
+
+class TestHomologyPresentation:
+    """Both delta^2 != 0 branches, on hand-made models over Q[X], deg X = 2.
+
+    Class a has degree 1 and class c degree 0, with delta(c) = a and
+    delta(a) = X c, so delta^2(c) = X c != 0.  An optional third class b of
+    degree 0 has delta(b) = 0.
+    """
+
+    @staticmethod
+    def corrupted(with_b):
+        ring = Ring(1, 2)
+        delta = {0: {1: ring.variable(0)}, 1: {0: ring.one()}}
+        degrees = (1, 0, 0) if with_b else (1, 0)
+        return HirschBrownModel(ring, degrees, (None,) * len(degrees), delta, 1, 1)
+
+    def test_image_outside_an_empty_kernel(self):
+        # delta is injective on the one even class c.
+        with pytest.raises(ValidationError) as err:
+            hb_cohomology_finite(self.corrupted(with_b=False))
+        assert str(err.value) == "delta^2 != 0: image is not contained in the kernel"
+
+    def test_image_column_outside_the_kernel(self):
+        # The even kernel is R b, and delta(a) = X c is not in it.
+        with pytest.raises(ValidationError) as err:
+            hb_cohomology_finite(self.corrupted(with_b=True))
+        assert str(err.value) == "delta^2 != 0: an image column is not in the kernel"
+
+    def test_one_tracked_basis_per_kernel(self, monkeypatch, nilmanifold_hb):
+        # Per parity: one pass for ker(delta), one for the quotient by the image.
+        from toralrank import groebner
+
+        original = groebner._buchberger_tracked
+        calls = []
+
+        def counting(gens, degree_cap, track=True, module=None):
+            calls.append(track)
+            return original(gens, degree_cap, track, module)
+
+        for name, module in list(sys.modules.items()):
+            if name == "toralrank" or name.startswith("toralrank."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        _, _, hb = nilmanifold_hb
+        assert hb_cohomology_finite(hb).total_dim == 8
+        assert calls.count(True) == 4
 
 
 class TestProjections:

@@ -6,6 +6,7 @@ import pytest
 from toralrank.errors import DomainError, ParseError, ValidationError
 from toralrank.linalg import rank
 from toralrank.sullivan import (
+    MAX_BASIS_CAPACITY,
     AlgebraElement,
     GradedBasis,
     SullivanModel,
@@ -212,6 +213,22 @@ class TestGradedBasis:
         m = refuse_enumeration(SullivanModel(CAP_GENERATORS))
         with pytest.raises(DomainError, match=CAP_MESSAGE):
             cohomology(m, cutoff=120)
+
+    def test_all_odd_walk_stops_at_the_top_degree(self, monkeypatch):
+        walked = []
+        d_columns = GradedBasis.d_columns
+        monkeypatch.setattr(GradedBasis, "d_columns", lambda basis, p: walked.append(p) or d_columns(basis, p))
+        m = torus_model(3)
+        h = cohomology(m, cutoff=MAX_BASIS_CAPACITY)
+        assert walked == [0, 1, 2, 3] and m.top_degree() == 3
+        assert [h.dim(p) for p in range(6)] == [1, 3, 3, 1, 0, 0]
+        assert h.dim(MAX_BASIS_CAPACITY) == 0
+        assert euler_characteristic(h) == 0 and formal_dimension(h) == 3
+
+    def test_cutoff_above_the_cap_is_refused_before_enumerating(self):
+        m = refuse_enumeration(torus_model(1))
+        with pytest.raises(DomainError, match=f"cutoff {MAX_BASIS_CAPACITY + 1} is above the capacity cap"):
+            cohomology(m, cutoff=MAX_BASIS_CAPACITY + 1)
 
 
 class TestCSymplectic:
