@@ -139,6 +139,91 @@ class TestKoszulOracle:
         assert dims[: len(rep.hilbert)] == rep.hilbert
 
 
+def assert_oracles_match_past_the_top(p):
+    """Koszul Betti numbers and linear-algebra Hilbert function three degrees past the top.
+
+    Above the top degree of a finite-length cokernel every graded piece
+    vanishes, so both oracles must add nothing there.
+    """
+    rep = finite_length_and_hilbert(p)
+    assert rep.finite
+    res_dia = minimal_free_resolution(p).betti_diagram()
+    top = max(j for _, j in res_dia.entries)
+    assert betti_via_koszul(p, top + 3) == res_dia
+    up_to = rep.top_degree + 3
+    dims = resolutions.hilbert_by_linear_algebra(p, up_to)
+    assert dims == rep.hilbert + (0,) * (up_to + 1 - len(rep.hilbert))
+
+
+class TestKoszulOracleCoverage:
+    NAMES = ["ex33.pres", "m23.pres", "m24.pres", "m25.pres", "m35.pres"]
+
+    def test_random_presentations_past_the_top(self, random_presentations):
+        for p in random_presentations:
+            assert_oracles_match_past_the_top(p)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_shipped_matrices_past_the_top(self, name):
+        assert_oracles_match_past_the_top(load(name))
+
+    def test_variable_degree_two(self):
+        p = parse_presentation("ring r=2 vardeg=2\ntarget 0 2\nmatrix 2 4\nx y^2 0 0\n0 0 x^2 y\n")
+        assert_oracles_match_past_the_top(p)
+        assert betti_via_koszul(p, 12) == minimal_free_resolution(p).betti_diagram()
+
+    def test_target_with_a_degree_gap(self):
+        # coker vanishes in degrees 1 and 2, below the second generator in degree 3.
+        p = parse_presentation("ring r=2 vardeg=1\ntarget 0 3\nmatrix 2 5\nx y 0 0 y^4\n0 0 x y x\n")
+        assert resolutions.hilbert_by_linear_algebra(p, 6) == (1, 0, 0, 1, 0, 0, 0)
+        assert_oracles_match_past_the_top(p)
+
+    def test_infinite_cokernel_never_stops_early(self):
+        p = parse_presentation("ring r=2 vardeg=1\ntarget 0\nmatrix 1 1\nx\n")
+        assert betti_via_koszul(p, 8) == BettiDiagram({(0, 0): 1, (1, 1): 1})
+        assert resolutions.hilbert_by_linear_algebra(p, 8) == (1,) * 9
+
+
+class TestOracleIndependence:
+    """The Koszul and Hilbert oracles run with every Groebner entry point broken."""
+
+    ENTRY_POINTS = (
+        "buchberger",
+        "_buchberger_tracked",
+        "syzygy_basis",
+        "syzygies_of_columns",
+        "finite_length_and_hilbert",
+        "_finite_length_and_hilbert",
+    )
+
+    @pytest.fixture
+    def no_groebner(self, monkeypatch):
+        import sys
+
+        modules = [m for name, m in sys.modules.items() if name == "toralrank" or name.startswith("toralrank.")]
+        for attr in self.ENTRY_POINTS:
+            original = getattr(groebner, attr)
+
+            def refuse(*args, _name=attr, **kwargs):
+                raise AssertionError(f"groebner.{_name} called")
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, refuse)
+
+    def test_pinned_results_without_groebner(self, no_groebner):
+        with pytest.raises(AssertionError, match="called"):
+            finite_length_and_hilbert(load("ex33.pres"))
+        assert betti_via_koszul(load("ex33.pres"), 6) == BettiDiagram(
+            {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}
+        )
+        assert resolutions.hilbert_by_linear_algebra(load("ex33.pres"), 4) == (1, 1, 0, 0, 0)
+        assert betti_via_koszul(load("m35.pres"), 8) == BettiDiagram(
+            {(0, 0): 3, (1, 1): 5, (2, 4): 5, (3, 5): 3}
+        )
+        assert resolutions.hilbert_by_linear_algebra(load("m35.pres"), 5) == (3, 4, 3, 0, 0, 0)
+
+
 class TestExactnessProperties:
     def test_alternating_rank_sum_vanishes(self, random_presentations):
         for p in random_presentations[:10]:
