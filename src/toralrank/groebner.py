@@ -614,10 +614,12 @@ def _parse_ring_line(line: str) -> Ring:
     if not toks or toks[0] != "ring":
         raise ParseError(f"expected 'ring ...', got {line!r}")
     fields = dict(tok.split("=", 1) for tok in toks[1:] if "=" in tok)
+    if "r" not in fields:
+        raise ParseError("ring line missing field 'r'")
+    r = parse_int(fields["r"], repr(line))
+    vardeg = parse_int(fields.get("vardeg", "1"), repr(line))
     try:
-        return Ring(int(fields["r"]), int(fields.get("vardeg", "1")))
-    except KeyError as exc:
-        raise ParseError(f"ring line missing field {exc}") from exc
+        return Ring(r, vardeg)
     except ValueError as exc:
         raise ParseError(f"bad ring line {line!r}: {exc}") from exc
 

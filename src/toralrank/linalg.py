@@ -2,8 +2,10 @@
 
 There is one elimination routine, `Subspace`: a row space kept in reduced
 row echelon form, one sparse row {column: Fraction} per pivot, each pivot
-being its row's first nonzero column.  `rref`, `rank`, `kernel_basis` and
-`solve` take and return dense lists of rows and run through it.  The
+being its row's first nonzero column.  Its one entry point is
+`Subspace.insert`, which takes a sparse vector; `Subspace.add`, `rref`,
+`rank`, `kernel_basis` and `solve` take dense lists, sparsify them and go
+through it, and `Subspace.row` reads a reduced row by its pivot.  The
 reduced row echelon form of a row space is unique, so reduced forms,
 kernels and chosen representatives do not depend on the order rows arrive.
 """
@@ -69,6 +71,10 @@ def solve(columns, target):
     return coeffs
 
 
+def _sparse(vec):
+    return {j: x if isinstance(x, Fraction) else Fraction(x) for j, x in enumerate(vec) if x}
+
+
 class Subspace:
     """Mutable row space of Q^ncols kept in reduced row echelon form.
 
@@ -83,10 +89,9 @@ class Subspace:
     def _dense(self, row):
         return [row.get(j, _ZERO) for j in range(self.ncols)]
 
-    def _reduce(self, vec):
-        v = {j: x if isinstance(x, Fraction) else Fraction(x) for j, x in enumerate(vec) if x}
-        # Rows are 0 in each other's pivot columns, so the coefficients to
-        # subtract are read off vec before any subtraction.
+    def _reduce(self, v):
+        # Reduces v in place.  Rows are 0 in each other's pivot columns, so
+        # the coefficients to subtract are read off v before any subtraction.
         for p, f in [(p, f) for p, f in v.items() if p in self._rows]:
             for j, x in self._rows[p].items():
                 y = v.get(j, _ZERO) - f * x
@@ -98,11 +103,16 @@ class Subspace:
 
     def reduce(self, vec):
         """Return vec minus its projection onto the subspace (a new list)."""
-        return self._dense(self._reduce(vec))
+        return self._dense(self._reduce(_sparse(vec)))
 
     def add(self, vec) -> bool:
-        """Insert vec's span; True if the dimension grew."""
-        v = self._reduce(vec)
+        """Insert the span of the dense vector vec; True if the dimension grew."""
+        return self.insert(_sparse(vec))
+
+    def insert(self, v) -> bool:
+        """Insert the span of v, a sparse vector {column: nonzero Fraction}
+        that the space takes over; True if the dimension grew."""
+        v = self._reduce(v)
         if not v:
             return False
         p = min(v)
@@ -120,6 +130,10 @@ class Subspace:
                             del row[j]
         self._rows[p] = v
         return True
+
+    def row(self, p):
+        """The reduced row {column: Fraction} with pivot p (read only), or None."""
+        return self._rows.get(p)
 
     def pivots(self):
         return sorted(self._rows)

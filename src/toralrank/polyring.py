@@ -12,6 +12,7 @@ values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .errors import ParseError, RingMismatchError
 # Input aliases for small rings, matching the usual single-letter matrix
 # displays.  x -> x1, y -> x2, z -> x3, w -> x4; uppercase likewise.
 _ALIASES = "xyzw"
+_INT = re.compile("-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -257,11 +259,15 @@ def tokenize(text: str):
 
 
 def parse_int(token: str, where: str) -> int:
-    """int(token), or a ParseError that names `where` in the input."""
+    """The ASCII integer `-?[0-9]+` that token is, or a ParseError that names
+    `where` in the input.  Python's other literal forms (`1_0`, `+3`, spaces,
+    non-ASCII digits) are refused."""
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{where}: expected an integer, got {token!r}") from None
+        if _INT.fullmatch(token):
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(f"{where}: expected an integer, got {token!r}")
 
 
 def parse_coefficient(token: str, where: str) -> Fraction:

@@ -7,7 +7,12 @@ kept minimal, the iteration stops after at most num_vars syzygy stages.
 `betti_via_koszul` recomputes the graded Betti numbers without any Groebner
 machinery, as the homology of the cokernel tensored with the exterior
 complex on the variables, degree piece by degree piece.  The two routes
-agreeing is the package's central cross-check.
+agreeing is the package's central cross-check.  Each graded piece of the
+cokernel comes from one sparse reduced echelon form of the image, and
+multiplication by a variable is read off its rows.  Above every generator
+degree a piece is spanned by variables times the piece one variable degree
+lower, so once the cokernel vanishes there it vanishes again one variable
+degree up, and such degrees are skipped.
 """
 
 from __future__ import annotations
@@ -16,18 +21,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .diagrams import BettiDiagram
 from .errors import DegreeCapError, DomainError
 from .groebner import (
     DEFAULT_DEGREE_CAP,
-    FiniteLengthReport,
     PresentationMap,
     finite_length_and_hilbert,
     syzygies_of_columns,
 )
 from .polyring import FreeModule, ModuleElement
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -160,70 +167,56 @@ def _drop(seq, i):
 class _GradedCoker:
     """Graded pieces of coker(p) with multiplication-by-variable maps.
 
-    Bases are the non-pivot monomial/generator pairs after reducing the
-    column multiples away; everything is exact Fraction linear algebra.
+    Per degree the column multiples are eliminated, sparse, into a reduced
+    echelon `linalg.Subspace` over the target's monomial/generator pairs;
+    the non-pivot pairs are the quotient basis.  Degrees that the vanishing
+    rule (module docstring) clears get no basis and no elimination.
     """
 
     def __init__(self, p: PresentationMap, max_degree: int):
         ring = p.target.ring
-        if any(d < 0 for d in p.target.generator_degrees):
+        gdegs = p.target.generator_degrees
+        if any(d < 0 for d in gdegs):
             raise DomainError("oracle needs nonnegative generator degrees")
-        self.ring = ring
-        self.p = p
-        self.max_degree = max_degree
-        self.ambient = {}  # degree -> list of (exp, comp)
-        self.index = {}  # degree -> {(exp, comp): position}
+        self.var_degree = vd = ring.var_degree
+        self.index = {}  # degree -> {(exp, comp): ambient position}
         self.image = {}  # degree -> linalg.Subspace
-        self.quotient = {}  # degree -> list of ambient positions (non-pivot)
+        self.slot = {}  # degree -> {non-pivot ambient position: quotient slot}
+        self.basis = {}  # degree -> (exp, comp) per quotient slot
+        columns = [(c.degree(), [(t, Fraction(x)) for t, x in c.terms()]) for c in p.columns if not c.is_zero()]
+        top_generator = max(gdegs, default=-1)
         for d in range(max_degree + 1):
-            basis = graded_basis(ring, p.target.generator_degrees, d)
-            self.ambient[d] = basis
-            self.index[d] = {bc: k for k, bc in enumerate(basis)}
-            sub = linalg.Subspace(len(basis))
-            for vec in self._image_vectors(d):
-                sub.add(vec)
-            self.image[d] = sub
-            pivots = set(sub.pivots())
-            self.quotient[d] = [k for k in range(len(basis)) if k not in pivots]
+            if d > top_generator and not self.dim(d - vd):
+                continue
+            pairs = graded_basis(ring, gdegs, d)
+            index = self.index[d] = {pair: k for k, pair in enumerate(pairs)}
+            image = self.image[d] = linalg.Subspace(len(pairs))
+            for cd, terms in columns:
+                if d >= cd and (d - cd) % vd == 0:
+                    for exp in _monomials_of_degree(ring.num_vars, (d - cd) // vd):
+                        image.insert({index[(tuple(map(add, exp, e)), c)]: x for (e, c), x in terms})
+            free = [k for k in range(len(pairs)) if image.row(k) is None]
+            self.slot[d] = {k: q for q, k in enumerate(free)}
+            self.basis[d] = [pairs[k] for k in free]
 
     def dim(self, d: int) -> int:
-        if d < 0 or d > self.max_degree:
-            return 0
-        return len(self.quotient[d])
-
-    def _image_vectors(self, d):
-        ring = self.ring
-        for col in self.p.columns:
-            cd = col.degree()
-            if cd is None:
-                continue
-            rem = d - cd
-            if rem < 0 or rem % ring.var_degree:
-                continue
-            for exp in _monomials_of_degree(ring.num_vars, rem // ring.var_degree):
-                vec = [Fraction(0)] * len(self.ambient[d])
-                for (texp, comp), coeff in col.monomial_mul(exp).terms():
-                    vec[self.index[d][(texp, comp)]] += coeff
-                yield vec
-
-    def reduce_to_quotient(self, d, vec):
-        red = self.image[d].reduce(vec)
-        return [red[k] for k in self.quotient[d]]
+        return len(self.basis.get(d, ()))
 
     def mult_map(self, var: int, d: int):
-        """Matrix of x_var: coker_d -> coker_{d+var_degree} on quotient bases."""
-        ring = self.ring
-        d2 = d + ring.var_degree
-        rows = len(self.quotient.get(d2, []))
-        out_cols = []
-        for pos in self.quotient[d]:
-            exp, comp = self.ambient[d][pos]
-            nexp = tuple(e + (1 if i == var else 0) for i, e in enumerate(exp))
-            vec = [Fraction(0)] * len(self.ambient[d2])
-            vec[self.index[d2][(nexp, comp)]] = Fraction(1)
-            out_cols.append(self.reduce_to_quotient(d2, vec))
-        # Column-major -> row-major.
-        return [[out_cols[c][r] for c in range(len(out_cols))] for r in range(rows)]
+        """x_var: coker_d -> coker_{d+var_degree}, one sparse column {slot: Fraction} per slot.
+
+        Both degrees must have a basis.  x_var sends a slot to an ambient
+        position t.  A non-pivot t is itself a slot; a pivot t is congruent to
+        minus the non-pivot part of the echelon row with pivot t.
+        """
+        d2 = d + self.var_degree
+        index, image, slot = self.index[d2], self.image[d2], self.slot[d2]
+        cols = []
+        for exp, comp in self.basis[d]:
+            t = index[(exp[:var] + (exp[var] + 1,) + exp[var + 1 :], comp)]
+            row = image.row(t)
+            cols.append({slot[t]: _ONE} if row is None else {slot[j]: -x for j, x in row.items() if j != t})
+        return cols
 
 
 def graded_basis(ring, generator_degrees, d):
@@ -254,51 +247,42 @@ def betti_via_koszul(p: PresentationMap, max_degree: int) -> BettiDiagram:
     on the variables, with boundary e_S (x) m -> sum sign(i,S) e_{S-i} (x)
     x_i m and sign(i,S) = (-1)^{#{j in S : j < i}}.  No Groebner bases are
     involved, which makes this an independent check on the resolution.
+    The maps x_i m are read off the reduced echelon rows of the image of p
+    degree by degree, and the degrees where coker(p) vanishes (above every
+    generator degree, right after a degree where it vanishes) are skipped.
     """
     ring = p.target.ring
-    r = ring.num_vars
-    vd = ring.var_degree
+    r, vd = ring.num_vars, ring.var_degree
     coker = _GradedCoker(p, max_degree)
+    subsets = [list(itertools.combinations(range(r), i)) for i in range(r + 1)]
+    mults = {}
 
-    subsets = {i: list(itertools.combinations(range(r), i)) for i in range(r + 2)}
+    def space(i, d):
+        """Basis of K_{i, d + vd*i}: (subset S, quotient slot) with |S| = i."""
+        return [(S, q) for S in subsets[i] for q in range(coker.dim(d))] if 0 <= i <= r else []
 
-    def space(i, j):
-        """Basis of K_{i,j}: (subset S, quotient slot) with |S| = i."""
+    def boundary_rank(i, j):
+        """Rank of K_{i,j} -> K_{i-1,j}."""
         d = j - vd * i
-        if d < 0 or d > max_degree or i < 0 or i > r:
-            return []
-        return [(S, q) for S in subsets[i] for q in range(coker.dim(d))]
-
-    def boundary(i, j):
-        """Matrix of K_{i,j} -> K_{i-1,j}."""
-        dom = space(i, j)
-        cod = space(i - 1, j)
-        rows = [[Fraction(0)] * len(dom) for _ in range(len(cod))]
-        if dom and cod:
-            cod_index = {bc: k for k, bc in enumerate(cod)}
-            d = j - vd * i
-            mats = {v: coker.mult_map(v, d) for v in range(r)}
-            for cidx, (S, q) in enumerate(dom):
-                for pos, v in enumerate(S):
-                    sign = (-1) ** pos
-                    Srem = S[:pos] + S[pos + 1 :]
-                    col = mats[v]
-                    for q2 in range(len(col)):
-                        val = col[q2][q]
-                        if val:
-                            rows[cod_index[(Srem, q2)]][cidx] += sign * val
-        return rows, len(dom), len(cod)
+        dom, cod = space(i, d), space(i - 1, d + vd)
+        if not dom or not cod:
+            return 0
+        if d not in mults:
+            mults[d] = [coker.mult_map(v, d) for v in range(r)]
+        cod_index = {bc: k for k, bc in enumerate(cod)}
+        rows = [[_ZERO] * len(dom) for _ in cod]
+        for cidx, (S, q) in enumerate(dom):
+            for pos, v in enumerate(S):
+                Srem = S[:pos] + S[pos + 1 :]
+                for q2, val in mults[d][v][q].items():
+                    rows[cod_index[(Srem, q2)]][cidx] += -val if pos % 2 else val
+        return linalg.rank(rows)
 
     entries = {}
     for j in range(max_degree + 1):
-        ranks = {}
-        dims = {}
-        for i in range(r + 2):
-            mat, ncols, _ = boundary(i, j)
-            dims[i] = ncols
-            ranks[i] = linalg.rank(mat) if mat and ncols else 0
+        ranks = [boundary_rank(i, j) for i in range(r + 2)]
         for i in range(r + 1):
-            beta = dims[i] - ranks[i] - ranks.get(i + 1, 0)
+            beta = math.comb(r, i) * coker.dim(j - vd * i) - ranks[i] - ranks[i + 1]
             if beta:
                 entries[(i, j)] = beta
     return BettiDiagram(entries, codim_hint=r)

@@ -415,3 +415,29 @@ class TestPipeline:
         assert result.finite and result.total_dim == 1
         assert result.exterior_witness == 4
         assert result.bound_met
+
+
+class TestIntegerTokens:
+    @pytest.mark.parametrize(
+        "name,text,where",
+        [
+            ("m.sul", "gen x deg=1_0\nd x = 0\n", "line 1"),
+            ("m.sul", "gen x deg=+3\nd x = 0\n", "line 1"),
+            ("d.txt", "0 0 1\n1_0 2 3\n", "line 2"),
+            ("p.pres", "ring r=2 vardeg=1\ntarget 0_0\nmatrix 1 1\nx\n", "'target 0_0'"),
+            ("p.pres", "ring r=1_0 vardeg=1\ntarget 0\nmatrix 1 1\nx\n", "'ring r=1_0 vardeg=1'"),
+        ],
+    )
+    def test_python_only_integer_literals_exit_two(self, tmp_path, name, text, where):
+        # int() also reads 1_0 as 10 and +3 as 3; the file formats do not.
+        f = tmp_path / name
+        f.write_text(text)
+        command = {"m.sul": ["model-cohomology"], "d.txt": ["hk", "--codim", "2"], "p.pres": ["coker"]}[name]
+        proc = subprocess.run(
+            [sys.executable, "-m", "toralrank", *command, "--in", str(f)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {where}: expected an integer, got ")
+        assert "Traceback" not in proc.stderr

@@ -146,3 +146,18 @@ def test_subspace_add_and_reduce_match_the_oracle(rows, ncols):
         probe = [random_entry(rng) for _ in range(ncols)]
         for vec in (probe, row):
             assert space.reduce(vec) == oracle_reduce(added, vec)
+
+
+@pytest.mark.parametrize("rows,ncols", CASES, ids=range(len(CASES)))
+def test_sparse_and_dense_entries_build_the_same_space(rows, ncols):
+    dense, sparse = linalg.Subspace(ncols), linalg.Subspace(ncols)
+    for row in rows:
+        vec = {j: Fraction(x) for j, x in enumerate(row) if x}
+        assert sparse.insert(vec) == dense.add(row)
+        assert sparse.pivots() == dense.pivots()
+        for p in dense.pivots():
+            assert sparse.row(p) == dense.row(p)
+            assert dense.row(p)[p] == 1
+    red, pivots = dense_rref(rows)
+    assert [sparse.row(p) for p in pivots] == [{j: x for j, x in enumerate(row) if x} for row in red]
+    assert all(sparse.row(j) is None for j in range(ncols) if j not in pivots)
