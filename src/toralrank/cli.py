@@ -49,6 +49,12 @@ from .sullivan import (
     parse_model,
 )
 
+# Largest sizes the bound commands take.  Past them the exact values of
+# `bound` run to thousands of digits and the sweeps to minutes.
+MAX_BOUND_SIZE = 500
+MAX_AUDIT_NMAX = 20
+MAX_LEMMA52_NMAX = 100
+
 MATH_ERRORS = (
     DomainError,
     NotInConeError,
@@ -185,6 +191,10 @@ def _read(path):
 
 
 def _cmd_bound(args):
+    for name in ("r", "n", "b", "l"):
+        value = getattr(args, name)
+        if value is not None and value > MAX_BOUND_SIZE:
+            raise DomainError(f"--{name} {value} is above the cap {MAX_BOUND_SIZE}")
     inputs = bounds_mod.BoundInputs(
         n=args.n, r=args.r, b=args.b, l=args.l, csymplectic=args.csymplectic
     )
@@ -240,6 +250,8 @@ def _cmd_table(args):
 def _cmd_audit(args):
     if args.nmax < 1:
         raise DomainError("--nmax must be at least 1")
+    if args.nmax > MAX_AUDIT_NMAX:
+        raise DomainError(f"--nmax {args.nmax} is above the cap {MAX_AUDIT_NMAX}")
     ok, records = bounds_mod.trc_audit(args.nmax)
     for n, r, best, target, meets in records:
         if args.porcelain:
@@ -255,6 +267,8 @@ def _cmd_audit(args):
 def _cmd_lemma52(args):
     if args.nmax < 4:
         raise DomainError("--nmax must be at least 4")
+    if args.nmax > MAX_LEMMA52_NMAX:
+        raise DomainError(f"--nmax {args.nmax} is above the cap {MAX_LEMMA52_NMAX}")
     ok, records = bounds_mod.midpoint_ratio_sweep(args.nmax)
     for n, r, holds in records:
         if args.porcelain:

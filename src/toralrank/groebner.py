@@ -302,10 +302,10 @@ class PresentationMap:
     whatever the source says).
 
     A map is immutable: its columns are a tuple of immutable elements, and
-    every operation that changes a map builds a new one.  So its
-    finite-length report (`finite_length_and_hilbert`) and its minimal
-    resolution (`resolutions.minimal_free_resolution`) are computed once
-    per degree cap and kept on the map; a call that raises keeps nothing.
+    every operation that changes a map builds a new one.  So its reduced basis
+    (`groebner`), finite-length report (`finite_length_and_hilbert`) and
+    minimal resolution (`resolutions.minimal_free_resolution`) are computed
+    once per degree cap and kept on the map; a call that raises keeps nothing.
     """
 
     def __init__(self, source: FreeModule, target: FreeModule, columns):
@@ -389,6 +389,11 @@ class PresentationMap:
 
     def __repr__(self):
         return f"PresentationMap({self.target.rank}x{self.source.rank} over {self.target.ring})"
+
+
+def groebner(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
+    """Reduced Groebner basis of the columns of p, kept on p per degree cap (see PresentationMap)."""
+    return p._memoized("groebner", degree_cap, lambda p, cap: buchberger(p.columns, cap, p.target))
 
 
 def syzygy_basis(gb: GroebnerBasis) -> PresentationMap:
@@ -535,7 +540,7 @@ def _finite_length_and_hilbert(p: PresentationMap, degree_cap: int) -> FiniteLen
     if module.rank == 0:
         return FiniteLengthReport(True, (), 0, None)
     lead = {}
-    for (exp, comp), _ in buchberger(p.columns, degree_cap, module).leads:
+    for (exp, comp), _ in groebner(p, degree_cap).leads:
         lead.setdefault(comp, []).append(exp)
 
     nvars = ring.num_vars

@@ -1,8 +1,10 @@
 """Minimal graded free resolutions and an independent homology oracle.
 
-A resolution is built by iterating the syzygy construction and cancelling
-constant (unit) entries after every stage.  Because each partial complex is
-kept minimal, the iteration stops after at most num_vars syzygy stages.
+A resolution is built one step at a time: the last map gives way to the
+reduced Groebner basis G of its columns (the same image), the cofactor
+syzygies of G, which generate all its syzygies (Schreyer), are appended, and
+unit entries are cancelled.  Because each partial complex is kept minimal,
+the iteration stops after at most num_vars syzygy stages.
 
 `betti_via_koszul` recomputes the graded Betti numbers without any Groebner
 machinery, as the homology of the cokernel tensored with the exterior
@@ -30,7 +32,8 @@ from .groebner import (
     DEFAULT_DEGREE_CAP,
     PresentationMap,
     finite_length_and_hilbert,
-    syzygies_of_columns,
+    groebner,
+    syzygy_basis,
 )
 from .polyring import FreeModule, ModuleElement
 
@@ -39,7 +42,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 @dataclass(frozen=True)
 class Resolution:
-    """Chain F_0 <- F_1 <- ... with maps[i]: F_{i+1} -> F_i, maps[0] = p."""
+    """Chain F_0 <- F_1 <- ... with maps[i]: F_{i+1} -> F_i; maps[0] is p's minimized reduced basis."""
 
     maps: tuple
 
@@ -84,7 +87,9 @@ def _resolve(p: PresentationMap, degree_cap: int) -> Resolution:
     while maps[-1].source.rank > 0:
         if len(maps) > safety:
             raise DegreeCapError("resolution failed to terminate; input may be corrupt")
-        syz = syzygies_of_columns(maps[-1], degree_cap)
+        gb = groebner(maps[-1], degree_cap)
+        syz = syzygy_basis(gb)
+        maps[-1] = PresentationMap(syz.target, maps[-1].target, gb.elements)
         if syz.source.rank == 0:
             break
         maps.append(syz)

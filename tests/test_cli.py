@@ -85,6 +85,62 @@ class TestAudits:
         assert "--nmax must be at least 1" in err
 
 
+def run_child(*argv):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toralrank", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return proc, time.perf_counter() - start
+
+
+class TestSizeCaps:
+    """Sizes past the caps stated in README exit 1 before any output."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # 2^19999 has more digits than the interpreter prints.
+            (["bound", "--n", "20000", "--r", "19999"], "--r 19999 is above the cap 500"),
+            (["bound", "--n", "20000", "--r", "3"], "--n 20000 is above the cap 500"),
+            (["bound", "--n", "10", "--r", "4", "--b", "100000"], "--b 100000 is above the cap 500"),
+            (["bound", "--n", "10", "--r", "4", "--l", "501", "--porcelain"], "--l 501 is above the cap 500"),
+            (["lemma52", "--nmax", "400"], "--nmax 400 is above the cap 100"),
+            (["audit-trc", "--nmax", "200"], "--nmax 200 is above the cap 20"),
+        ],
+    )
+    def test_refused_before_any_work(self, argv, message):
+        proc, wall = run_child(*argv)
+        assert wall < 5
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_largest_bound_inputs_print(self, capsys):
+        code, out, err = run(
+            capsys, "bound", "--n", "500", "--r", "500", "--b", "500", "--l", "500", "--csymplectic", "--porcelain"
+        )
+        assert code == 0 and err == ""
+        lines = dict(l.split("=", 1) for l in out.splitlines())
+        assert lines["trc_target"] == str(2**500)
+
+    @pytest.mark.parametrize(
+        "command,nmax,code,last",
+        [
+            ("lemma52", "100", 0, "midpoint ratio inequality on even n in [4, 100], 3 <= r <= n+1: all satisfied"),
+            # The c-symplectic bounds miss 2^r from n = 5 on (n=5 r=6: best 52).
+            ("audit-trc", "20", 1, "audit: FAILED"),
+        ],
+    )
+    def test_largest_nmax_runs_to_the_end(self, command, nmax, code, last):
+        proc, wall = run_child(command, "--nmax", nmax)
+        assert wall < 30
+        assert proc.returncode == code
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == last
+
+
 class TestDiagramCommands:
     def test_pure(self, capsys):
         code, out, _ = run(capsys, "pure", "--d", "0,1,3")

@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,14 +8,16 @@ from toralrank import groebner, resolutions
 from toralrank.diagrams import BettiDiagram
 from toralrank.errors import DegreeCapError, DomainError
 from toralrank.groebner import PresentationMap, finite_length_and_hilbert, parse_presentation
+from toralrank.hirschbrown import perturb, projection_presentations, seeded_retract, split_Z
 from toralrank.polyring import FreeModule, Ring
 from toralrank.resolutions import (
     betti_via_koszul,
     check_generator_ratio,
     minimal_free_resolution,
 )
+from toralrank.sullivan import parse_extension
 
-from conftest import data_text
+from conftest import SEED, data_text, random_finite_presentations
 
 
 def load(name):
@@ -318,7 +322,9 @@ class TestMemoizedResults:
 
             return wrapper
 
-        monkeypatch.setattr(resolutions, "syzygies_of_columns", counting(resolutions.syzygies_of_columns))
+        monkeypatch.setattr(resolutions, "groebner", counting(resolutions.groebner))
+        monkeypatch.setattr(resolutions, "syzygy_basis", counting(resolutions.syzygy_basis))
+        monkeypatch.setattr(groebner, "syzygies_of_columns", counting(groebner.syzygies_of_columns))
         monkeypatch.setattr(groebner, "buchberger", counting(groebner.buchberger))
         monkeypatch.setattr(groebner, "_buchberger_tracked", counting(groebner._buchberger_tracked))
         chk = check_generator_ratio(p)
@@ -360,3 +366,100 @@ class TestMemoizedResults:
         assert res == minimal_free_resolution(load("m24.pres"))
         assert finite_length_and_hilbert(p).finite
         assert check_generator_ratio(p).holds
+
+
+def reference_resolution(p, degree_cap=groebner.DEFAULT_DEGREE_CAP):
+    """The resolution loop that tracks cofactors: each step appends the
+    syzygies of the last map's own columns, then cancels unit entries."""
+    maps = [p]
+    resolutions._minimize(maps)
+    while maps[-1].source.rank > 0:
+        syz = groebner.syzygies_of_columns(maps[-1], degree_cap)
+        if syz.source.rank == 0:
+            break
+        maps.append(syz)
+        resolutions._minimize(maps)
+        if maps[-1].source.rank == 0:
+            maps.pop()
+            break
+    return resolutions.Resolution(tuple(maps))
+
+
+def projection_maps(name):
+    ext = parse_extension(data_text(name))
+    zs = split_Z(ext)
+    maps = projection_presentations(perturb(ext, seeded_retract(ext, zs)), zs)
+    return [maps.map_even, maps.map_odd]
+
+
+def step_inputs(key):
+    if key.startswith("seed"):
+        return random_finite_presentations(seed=SEED + int(key[-1]))
+    if key.endswith(".sul"):
+        return projection_maps(key)
+    return [load(key)]
+
+
+STEP_INPUTS = ["seed+0", "seed+1", "ex33.pres", "m23.pres", "m24.pres", "m25.pres", "m35.pres",
+               "nilmanifold.sul", "heis_circle.sul"]
+
+
+class TestReducedBasisSteps:
+    """Each step resolves from the reduced basis of the last map's columns.
+
+    The tracked loop above is the reference: the same Betti diagram, and
+    exactness checked through the Hilbert series against the linear-algebra
+    Hilbert function, which uses no Groebner basis.
+    """
+
+    @pytest.mark.parametrize("key", STEP_INPUTS)
+    def test_matches_the_tracked_reference(self, key):
+        for p in step_inputs(key):
+            res = minimal_free_resolution(p)
+            assert res.betti_diagram() == reference_resolution(p).betti_diagram()
+            assert res.is_minimal()
+            compositions_vanish(res)
+
+    @pytest.mark.parametrize("key", STEP_INPUTS)
+    def test_hilbert_series_of_the_complex(self, key):
+        # sum_i (-1)^i sum_{generators of F_i} t^deg == H(t) * (1 - t^vd)^r
+        for p in step_inputs(key):
+            ring = p.target.ring
+            r, vd = ring.num_vars, ring.var_degree
+            mods = minimal_free_resolution(p).free_modules()
+            euler = {}
+            for i, mod in enumerate(mods):
+                for d in mod.generator_degrees:
+                    euler[d] = euler.get(d, 0) + (-1) ** i
+            up_to = max(max(euler), max(p.target.generator_degrees) + vd * r) + 1
+            hilbert = resolutions.hilbert_by_linear_algebra(p, up_to)
+            assert hilbert[-1] == 0
+            product = {}
+            for d, h in enumerate(hilbert):
+                for j in range(r + 1):
+                    e = d + vd * j
+                    product[e] = product.get(e, 0) + h * (-1) ** j * math.comb(r, j)
+            assert {d: v for d, v in euler.items() if v} == {d: v for d, v in product.items() if v}
+
+    @pytest.mark.parametrize("key", ["seed+0", "ex33.pres", "m23.pres", "m24.pres", "m25.pres", "m35.pres"])
+    def test_one_basis_per_map(self, monkeypatch, key):
+        # After the finite-length test, the resolution tracks nothing and
+        # runs no second Buchberger pass on the map's own columns.
+        original = groebner._buchberger_tracked
+        for p in step_inputs(key):
+            assert finite_length_and_hilbert(p).finite
+            passes = []
+
+            def counting(gens, degree_cap, track=True, module=None):
+                passes.append((tuple(gens), track))
+                return original(gens, degree_cap, track, module)
+
+            for name, module in list(sys.modules.items()):
+                if name == "toralrank" or name.startswith("toralrank."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counting)
+            minimal_free_resolution(p)
+            monkeypatch.undo()
+            assert [track for _, track in passes if track] == []
+            assert p.columns not in [gens for gens, _ in passes]
