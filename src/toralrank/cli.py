@@ -54,6 +54,9 @@ from .sullivan import (
 MAX_BOUND_SIZE = 500
 MAX_AUDIT_NMAX = 20
 MAX_LEMMA52_NMAX = 100
+# Largest --codim of `hk` and `decompose`, and most degrees in `pure --d`.
+# Far past it `hk` runs for minutes and `pure` entries outgrow 4300 digits.
+MAX_DIAGRAM_LENGTH = 100
 
 MATH_ERRORS = (
     DomainError,
@@ -287,6 +290,9 @@ def _cmd_lemma52(args):
 
 
 def _cmd_pure(args):
+    length = args.d.count(",") + 1
+    if length > MAX_DIAGRAM_LENGTH:
+        raise DomainError(f"--d length {length} is above the cap {MAX_DIAGRAM_LENGTH}")
     try:
         degs = tuple(int(tok) for tok in args.d.split(","))
         seq = DegreeSequence(degs)
@@ -297,7 +303,13 @@ def _cmd_pure(args):
     return 0
 
 
+def _check_codim(codim):
+    if codim > MAX_DIAGRAM_LENGTH:
+        raise DomainError(f"--codim {codim} is above the cap {MAX_DIAGRAM_LENGTH}")
+
+
 def _cmd_decompose(args):
+    _check_codim(args.codim)
     diagram = parse_diagram(_read(args.infile))
     deco = bs_decompose(diagram, args.codim)
     for coeff, seq in deco:
@@ -308,6 +320,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_hk(args):
+    _check_codim(args.codim)
     diagram = parse_diagram(_read(args.infile))
     residuals = herzog_kuhl_residuals(diagram, args.codim)
     for t, v in enumerate(residuals):

@@ -11,21 +11,18 @@ component, i, j), so the pair of smallest lcm degree is reduced first and
 ties go to the lower component, then to the lower basis indices.  Only
 pairs whose leading terms share a component are queued.  The keys are
 unique and fixed when a pair is pushed, so the order of reductions, and
-with it every basis element and cofactor, is determined by the input.
-Each basis element's leading term is computed once, when it joins the
-basis, and handed to every division against that basis.
+with it every basis element, is determined by the input.  Each basis
+element's leading term is computed once, when it joins the basis, and
+handed to every division against that basis.
 
-The syzygy machinery follows the classical cofactor construction: every
-S-pair of a Groebner basis reduces to zero, and the bookkeeping of that
-reduction is a generator of the syzygy module.
-
-Tracked bases live here and nowhere else.  A tracked Buchberger pass on
-the columns of a map keeps, for every basis element, its coefficients over
-the columns, that is, an element of the map's source.  The one lift,
-`_TrackedColumns.lift`, divides an element by the basis and combines the
-cofactors with those coefficients.  `syzygies_of_columns` and
-`quotient_presentation` are its two public users, and each builds one
-tracked basis per map.
+Coordinates over the columns of a map p: F_src -> F_tgt come from its
+graph (Kreuzer and Robbiano 2000): the Buchberger pass runs on the
+elements (p(e_j), e_j) of F_tgt (+) F_src and reduces the F_tgt components
+only, so the F_src part of every element it makes records that element
+over the columns.  `_Graph` holds one such basis per map; a lift is one
+division of (e, 0) by it.  The syzygies are the F_src parts of its
+S-pairs, reduced by it (Schreyer's theorem), and `syzygy_basis` runs the
+same helper on the graph of a basis G over the free module on G.
 """
 
 from __future__ import annotations
@@ -104,47 +101,46 @@ class GroebnerBasis:
         return tuple(leading_term(e) for e in self.elements)
 
 
-def division(e: ModuleElement, basis, with_cofactors=False, leads=None):
-    """Fully reduce e by `basis`; returns remainder (and cofactors).
+def division(e: ModuleElement, basis, leads=None):
+    """Fully reduce e by `basis`; returns the remainder.
 
-    The remainder has no term divisible by any basis leading term, and
-    e == sum(cofactor_i * basis_i) + remainder exactly.  `leads`, when
-    given, must be the leading_term of each basis element.
+    The remainder has no term divisible by any basis leading term, and e
+    minus the remainder is a combination of the basis elements.  A
+    component that leads no basis element goes into the remainder whole,
+    with what the reduction steps added to it: on a graph (see `_Graph`)
+    its source part so carries the combination's coefficients.  `leads`,
+    when given, must be the leading_term of each basis element.
     """
-    module = e.module
     if leads is None:
         leads = [leading_term(g) for g in basis]
-    divisors = {}  # component -> [(i, lead exponent, lead coefficient)] in basis order
-    for i, lt in enumerate(leads):
+    divisors = {}  # component -> [(lead exponent, lead coefficient, components)] in basis order
+    for g, lt in zip(basis, leads):
         if lt is not None:
             (gexp, gcomp), gcoeff = lt
-            divisors.setdefault(gcomp, []).append((i, gexp, gcoeff))
+            divisors.setdefault(gcomp, []).append((gexp, gcoeff, g.components))
     work = [dict(p.terms) for p in e.components]
-    rem = [{} for _ in work]
-    cof = [{} for _ in basis]
     # The largest term of what is left always lies in the first nonzero
     # component, and reducing by an element led there never touches an
     # earlier one: so each component is finished before the next.
     for comp, terms in enumerate(work):
+        if comp not in divisors:
+            continue
+        rem = {}
         while terms:
             exp = min(terms, key=degrevlex_key)
-            coeff = terms[exp]
-            for i, gexp, gcoeff in divisors.get(comp, ()):
+            for gexp, gcoeff, gcomps in divisors[comp]:
                 if _divides(gexp, exp):
-                    factor = coeff / gcoeff
+                    factor = -terms[exp] / gcoeff
                     mono = _exp_sub(exp, gexp)
-                    for s, p in enumerate(basis[i].components):
-                        _add_multiple(work[s], p.terms, mono, -factor)
-                    if with_cofactors:
-                        cof[i][mono] = cof[i].get(mono, 0) + factor
+                    for s, p in enumerate(gcomps):
+                        if p.terms:
+                            _add_multiple(work[s], p.terms, mono, factor)
                     break
             else:
-                rem[comp][exp] = terms.pop(exp)
-    ring = module.ring
-    rem = ModuleElement(module, tuple(Polynomial(ring, r) for r in rem))
-    if with_cofactors:
-        return rem, [Polynomial(ring, c) for c in cof]
-    return rem
+                rem[exp] = terms.pop(exp)
+        work[comp] = rem
+    ring = e.module.ring
+    return ModuleElement(e.module, tuple(Polynomial(ring, t) for t in work))
 
 
 def _add_multiple(terms, other, mono, factor):
@@ -188,30 +184,32 @@ def buchberger(gens, degree_cap: int = DEFAULT_DEGREE_CAP, module: FreeModule = 
     inter-reduced with monic leading coefficients, sorted by leading term.
     An empty generator list needs the ambient module passed explicitly.
     """
-    gb, _ = _buchberger_tracked(list(gens), degree_cap, track=False, module=module)
-    return gb
-
-
-def _buchberger_tracked(gens, degree_cap, track=True, module=None):
     gens = list(gens)
-    if not gens:
-        if module is None:
-            raise ValueError("empty generator list needs an explicit module")
-        return GroebnerBasis(module, ()), []
-    module = gens[0].module
+    if gens:
+        module = gens[0].module
+    elif module is None:
+        raise ValueError("empty generator list needs an explicit module")
+    return _buchberger(gens, degree_cap, module, module.rank)
+
+
+def _buchberger(gens, degree_cap, module, lead_rank):
+    """Reduced Groebner basis of gens, judged on the first `lead_rank`
+    components of `module`: an element that vanishes there is dropped, and
+    the later components follow every step unreduced (see `_Graph`)."""
     for g in gens:
         if g.module != module:
             raise RingMismatchError("generators from different modules")
     _require_homogeneous(gens)
 
+    def vanishes(e):
+        return all(p.is_zero() for p in e.components[:lead_rank])
+
     basis = []
     leads = []  # leading_term of each (monic) basis element
-    single = []  # whether the element lives in one component only
-    reps = []  # reps[i][j]: coefficient of gens[j] in basis[i]
+    single = []  # whether the element lives in one of the first lead_rank components only
     pairs = []  # heap of (lcm degree, component, i, j, mono_i, mono_j); (i, j) is unique
-    zero_poly = module.ring.zero()
 
-    def add_element(e, rep):
+    def add_element(e):
         lt = leading_term(e)
         j = len(basis)
         for i, lti in enumerate(leads):
@@ -219,18 +217,13 @@ def _buchberger_tracked(gens, degree_cap, track=True, module=None):
             if data is not None:
                 lcm, comp, mono_i, mono_j = data
                 heapq.heappush(pairs, (_internal_degree(module, lcm, comp), comp, i, j, mono_i, mono_j))
-        coeff = lt[1]
-        basis.append(e.scale(1 / coeff))
+        basis.append(e.scale(1 / lt[1]))
         leads.append(leading_term(basis[-1]))
-        single.append(sum(not p.is_zero() for p in e.components) == 1)
-        reps.append([p.scale(1 / coeff) for p in rep] if track else None)
+        single.append(sum(not p.is_zero() for p in e.components[:lead_rank]) == 1)
 
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        rep = [zero_poly] * len(gens)
-        rep[j] = module.ring.one()
-        add_element(g, rep)
+    for g in gens:
+        if not vanishes(g):
+            add_element(g)
 
     while pairs:
         degree, comp, i, j, mono_i, mono_j = heapq.heappop(pairs)
@@ -241,53 +234,30 @@ def _buchberger_tracked(gens, degree_cap, track=True, module=None):
         if single[i] and single[j] and not any(map(min, leads[i][0][0], leads[j][0][0])):
             continue
         s = basis[i].monomial_mul(mono_i) - basis[j].monomial_mul(mono_j)
-        rem, cof = division(s, basis, with_cofactors=True, leads=leads)
-        if rem.is_zero():
-            continue
-        if track:
-            rep = _combine([zero_poly] * len(gens), [-q for q in cof], reps)
-            rep = [a + b.monomial_mul(mono_i) for a, b in zip(rep, reps[i])]
-            rep = [a - b.monomial_mul(mono_j) for a, b in zip(rep, reps[j])]
-        else:
-            rep = None
-        add_element(rem, rep)
+        rem = division(s, basis, leads=leads)
+        if not vanishes(rem):
+            add_element(rem)
 
-    basis, reps = _interreduce(basis, leads, reps, track)
-    gb = GroebnerBasis(module, tuple(basis))
-    return gb, reps
+    return GroebnerBasis(module, tuple(_interreduce(basis, leads)))
 
 
-def _interreduce(basis, leads, reps, track):
+def _interreduce(basis, leads):
     # Smallest leading term first, so redundant larger leads get dropped.
     order = sorted(range(len(basis)), key=lambda i: _term_key(leads[i][0]), reverse=True)
-    kept, kept_leads, kept_reps = [], [], []
+    kept, kept_leads = [], []
     for i in order:
         (exp, comp), _ = leads[i]
         if any(c == comp and _divides(e, exp) for (e, c), _ in kept_leads):
             continue
         kept.append(basis[i])
         kept_leads.append(leads[i])
-        kept_reps.append(reps[i] if track else None)
     # Tail-reduce each against the others; leading terms do not move, so a
     # single full pass yields the reduced basis.
-    reduced, reduced_reps = [], []
+    reduced = []
     for idx, e in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        rem, cof = division(e, others, with_cofactors=True, leads=kept_leads[:idx] + kept_leads[idx + 1 :])
-        scale = 1 / leading_term(rem)[1]
-        reduced.append(rem.scale(scale))
-        if track:
-            rep = _combine(kept_reps[idx], [-q for q in cof], kept_reps[:idx] + kept_reps[idx + 1 :])
-            reduced_reps.append([p.scale(scale) for p in rep])
-    return reduced, reduced_reps
-
-
-def _combine(acc, coeffs, reps):
-    """acc + sum_k coeffs[k] * reps[k] for vectors of polynomials, skipping zero coefficients."""
-    for q, rep in zip(coeffs, reps):
-        if not q.is_zero():
-            acc = [a + q * b for a, b in zip(acc, rep)]
-    return acc
+        rem = division(e, kept[:idx] + kept[idx + 1 :], leads=kept_leads[:idx] + kept_leads[idx + 1 :])
+        reduced.append(rem.scale(1 / leading_term(rem)[1]))
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -397,33 +367,45 @@ def groebner(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Groebn
 
 
 def syzygy_basis(gb: GroebnerBasis) -> PresentationMap:
-    """Generators of the syzygy module of gb.elements (cofactor construction).
+    """Generators of the syzygy module of gb.elements.
 
-    The target is the free module on the basis elements (placed at their
-    internal degrees); composing the result with "evaluate at gb.elements"
-    gives zero.
+    The target is the free module F_G on the basis elements (placed at
+    their internal degrees), and the columns are the S-pair syzygies of
+    the graph of "evaluate at gb.elements", whose basis is the elements
+    (g_i, e_i); composing the result with that map gives zero.
     """
-    module = gb.module
-    elements = list(gb.elements)
-    syz_target = FreeModule(module.ring, tuple(e.degree() or 0 for e in elements))
-    leads = gb.leads
-    columns = []
+    syz_target = FreeModule(gb.module.ring, tuple(e.degree() or 0 for e in gb.elements))
+    graph = _graph_module(gb.module, syz_target)
+    elements = tuple(
+        ModuleElement(graph, g.components + syz_target.generator(i).components) for i, g in enumerate(gb.elements)
+    )
+    columns = [c for c in _s_pair_syzygies(GroebnerBasis(graph, elements), syz_target) if not c.is_zero()]
+    return PresentationMap.from_columns(syz_target, _sorted_columns(columns))
+
+
+def _graph_module(target: FreeModule, source: FreeModule) -> FreeModule:
+    """target (+) source, the module a graph lives in."""
+    return FreeModule(target.ring, target.generator_degrees + source.generator_degrees)
+
+
+def _s_pair_syzygies(gb: GroebnerBasis, source: FreeModule):
+    """The source part of every S-pair of a graph basis, reduced by it.
+
+    gb lives in target (+) source and has its leads in target.  By
+    Schreyer's theorem the results generate the syzygies among the target
+    parts, written over the source.
+    """
+    k = gb.module.rank - source.rank
+    elements, leads = gb.elements, gb.leads
     for i, j in itertools.combinations(range(len(elements)), 2):
         data = _s_pair(leads[i], leads[j])
         if data is not None:
             _, _, mono_i, mono_j = data
             s = elements[i].monomial_mul(mono_i) - elements[j].monomial_mul(mono_j)
-            rem, cof = division(s, elements, with_cofactors=True, leads=leads)
-            if not rem.is_zero():
+            rem = division(s, elements, leads=leads)
+            if any(not p.is_zero() for p in rem.components[:k]):
                 raise ValueError("input is not a Groebner basis: an S-pair does not reduce to 0")
-            comps = [-q for q in cof]
-            comps[i] = comps[i] + module.ring.monomial(mono_i)
-            comps[j] = comps[j] - module.ring.monomial(mono_j)
-            col = ModuleElement(syz_target, tuple(comps))
-            if not col.is_zero():
-                columns.append(col)
-    columns = _sorted_columns(columns)
-    return PresentationMap.from_columns(syz_target, columns)
+            yield ModuleElement(source, rem.components[k:])
 
 
 def _sorted_columns(columns):
@@ -436,35 +418,37 @@ def _sorted_columns(columns):
     return list(dict.fromkeys(sorted(columns, key=key)))
 
 
-class _TrackedColumns:
-    """One tracked Groebner basis of the columns of p.
+class _Graph:
+    """One Groebner basis of the graph of p.
 
-    reps[k] gives gb.elements[k] as coefficients over all columns of p, so
-    as an element of p.source; the zero columns, which the pass skips, keep
-    coefficient zero.
+    The pass runs on (p(e_j), e_j) in p.target (+) p.source for every
+    nonzero column and reduces the target components only.  Each basis
+    element's target part is an element of the reduced basis of p's image,
+    and its source part x satisfies p(x) == that target part.
     """
 
     def __init__(self, p: PresentationMap, degree_cap: int):
         self.p = p
-        self.gb, self.reps = _buchberger_tracked(p.columns, degree_cap, module=p.target)
+        self.module = _graph_module(p.target, p.source)
+        gens = [self._element(c, p.source.generator(j)) for j, c in enumerate(p.columns) if not c.is_zero()]
+        self.gb = _buchberger(gens, degree_cap, self.module, p.target.rank)
+
+    def _element(self, t: ModuleElement, s: ModuleElement) -> ModuleElement:
+        return ModuleElement(self.module, t.components + s.components)
 
     def lift(self, e: ModuleElement):
-        """(remainder, x) with p(x) + remainder == e, from one division by the basis."""
-        rem, cof = division(e, self.gb.elements, with_cofactors=True, leads=self.gb.leads)
-        return rem, self._source_element(cof)
-
-    def _source_element(self, coeffs) -> ModuleElement:
-        """sum_k coeffs[k] * reps[k] in p.source."""
-        zero = [self.p.target.ring.zero()] * self.p.source.rank
-        return ModuleElement(self.p.source, tuple(_combine(zero, coeffs, self.reps)))
+        """(remainder, x) with p(x) + remainder == e, from one division of (e, 0)."""
+        k = self.p.target.rank
+        rem = division(self._element(e, self.p.source.zero_element()), self.gb.elements, leads=self.gb.leads)
+        return ModuleElement(self.p.target, rem.components[:k]), -ModuleElement(self.p.source, rem.components[k:])
 
     def syzygy_columns(self):
         """Generators of ker(p), sorted: the unit vectors of the zero columns,
-        the cofactor syzygies of the basis, and lift(c) - e_j for each
-        nonzero column c = p(e_j)."""
+        the S-pair syzygies of the basis, and lift(c) - e_j for each nonzero
+        column c = p(e_j)."""
         p = self.p
         cols = [p.source.generator(j) for j, c in enumerate(p.columns) if c.is_zero()]
-        cols.extend(self._source_element(syz.components) for syz in syzygy_basis(self.gb).columns)
+        cols.extend(_s_pair_syzygies(self.gb, p.source))
         for j, c in enumerate(p.columns):
             if not c.is_zero():
                 rem, lifted = self.lift(c)
@@ -477,11 +461,11 @@ class _TrackedColumns:
 def syzygies_of_columns(p: PresentationMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> PresentationMap:
     """Generating set of ker(p) as columns of a map into p.source.
 
-    Runs a tracked Buchberger pass on the columns, takes the cofactor
-    syzygies of the basis, and converts both them and the division
-    discrepancies of the original columns back to source coordinates.
+    Runs one Buchberger pass on the graph of p and returns the S-pair
+    syzygies of its basis and the division discrepancies of the columns,
+    all read off in source coordinates.
     """
-    return PresentationMap.from_columns(p.source, _TrackedColumns(p, degree_cap).syzygy_columns())
+    return PresentationMap.from_columns(p.source, _Graph(p, degree_cap).syzygy_columns())
 
 
 def quotient_presentation(k: PresentationMap, elements, degree_cap=DEFAULT_DEGREE_CAP) -> PresentationMap:
@@ -490,18 +474,18 @@ def quotient_presentation(k: PresentationMap, elements, degree_cap=DEFAULT_DEGRE
     Every element must lie in k.target and in the span of k's columns, or
     NotInSpanError is raised.  The columns of the result are the nonzero
     lifts of the elements to k.source, in order, followed by the columns of
-    syzygies_of_columns(k); one tracked basis of k's columns serves both.
+    syzygies_of_columns(k); one basis of k's graph serves both.
     """
-    tracked = _TrackedColumns(k, degree_cap)
+    graph = _Graph(k, degree_cap)
     cols = []
     for e in elements:
         if e.module != k.target:
             raise RingMismatchError("element outside the target module")
-        rem, lifted = tracked.lift(e)
+        rem, lifted = graph.lift(e)
         if not rem.is_zero():
             raise NotInSpanError("an element is not in the span of the columns")
         cols.append(lifted)
-    cols.extend(tracked.syzygy_columns())
+    cols.extend(graph.syzygy_columns())
     return PresentationMap.from_columns(k.source, [c for c in cols if not c.is_zero()])
 
 

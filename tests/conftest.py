@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,16 @@ def data_text(name: str) -> str:
 # monomials through degree 121 than the basis capacity cap allows.
 CAP_GENERATORS = [(f"y{i}", 2) for i in range(1, 5)] + [("x", 1)]
 CAP_MESSAGE = "through degree 75 has 202540 monomials, above the capacity cap 200000"
+
+
+def patch_bindings(monkeypatch, original, replacement):
+    """Bind `replacement` in place of `original` under every name any
+    loaded toralrank module gives it, so calls through imports count too."""
+    for name, module in list(sys.modules.items()):
+        if name == "toralrank" or name.startswith("toralrank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def refuse_enumeration(model):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from toralrank.cli import main, run_pipeline
+from toralrank.diagrams import DegreeSequence, format_diagram, pure_diagram
 
 from conftest import DATA, GOLDEN, data_text
 
@@ -108,6 +109,11 @@ class TestSizeCaps:
             (["bound", "--n", "10", "--r", "4", "--l", "501", "--porcelain"], "--l 501 is above the cap 500"),
             (["lemma52", "--nmax", "400"], "--nmax 400 is above the cap 100"),
             (["audit-trc", "--nmax", "200"], "--nmax 200 is above the cap 20"),
+            # The diagram file is never read.
+            (["hk", "--in", "missing.txt", "--codim", "100000"], "--codim 100000 is above the cap 100"),
+            (["decompose", "--in", "missing.txt", "--codim", "101"], "--codim 101 is above the cap 100"),
+            (["pure", "--d", ",".join(str(7 * i) for i in range(1500))], "--d length 1500 is above the cap 100"),
+            (["pure", "--d", ",".join(map(str, range(101))), "--array"], "--d length 101 is above the cap 100"),
         ],
     )
     def test_refused_before_any_work(self, argv, message):
@@ -139,6 +145,25 @@ class TestSizeCaps:
         assert proc.returncode == code
         assert proc.stderr == ""
         assert proc.stdout.splitlines()[-1] == last
+
+    def test_largest_diagram_sizes_run_to_the_end(self, tmp_path):
+        degrees = ",".join(str(7 * i) for i in range(100))
+        proc, wall = run_child("pure", "--d", degrees)
+        assert wall < 5
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 100
+        f = tmp_path / "d.txt"
+        f.write_text("0 0 1\n1 1 2\n2 2 1\n")
+        proc, wall = run_child("hk", "--in", str(f), "--codim", "100")
+        assert wall < 5
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-2:] == [f"t=99: {2 ** 99 - 2}", "all zero: no"]
+        # A pure diagram with 101 degrees has codimension 100.
+        f.write_text(format_diagram(pure_diagram(DegreeSequence(tuple(range(101))))))
+        proc, wall = run_child("decompose", "--in", str(f), "--codim", "100")
+        assert wall < 5
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines() == [f"1 * pi({','.join(map(str, range(101)))})", "recomposes exactly: yes"]
 
 
 class TestDiagramCommands:

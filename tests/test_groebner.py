@@ -9,7 +9,7 @@ from toralrank.groebner import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     PresentationMap,
-    _buchberger_tracked,
+    _Graph,
     buchberger,
     division,
     finite_length_and_hilbert,
@@ -289,7 +289,7 @@ class TestPresentationFiles:
         assert p.source.generator_degrees == (2,)
 
 
-# sha256 over the tracked Buchberger output (basis and reps) and the column
+# sha256 over the graph Buchberger output (basis and coordinates) and the column
 # syzygies of every engine input below.  It was pinned from an engine that
 # chose each S-pair by a min() scan over all pending pairs; the heap queue
 # must reduce the same pairs in the same order.  Any change to that order,
@@ -321,9 +321,12 @@ def engine_digest(presentations):
     for p in presentations:
         gens = [c for c in p.columns if not c.is_zero()]
         if gens:
-            gb, reps = _buchberger_tracked(gens, DEFAULT_DEGREE_CAP, track=True)
-            for e, rep in zip(gb.elements, reps):
-                h.update(f"{e}|{'|'.join(map(str, rep))}\n".encode())
+            # Each basis element of the graph over the nonzero columns, as
+            # its target part and its coordinates over those columns.
+            k = p.target.rank
+            for e in _Graph(PresentationMap.from_columns(p.target, gens), DEFAULT_DEGREE_CAP).gb.elements:
+                target = ModuleElement(p.target, e.components[:k])
+                h.update(f"{target}|{'|'.join(map(str, e.components[k:]))}\n".encode())
         syz = syzygies_of_columns(p)
         h.update(f"{syz.source.generator_degrees}\n".encode())
         for col in syz.columns:

@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from toralrank.polyring import Ring
 from toralrank.resolutions import check_generator_ratio
 from toralrank.sullivan import AlgebraElement, GradedBasis, SullivanModel, parse_extension, parse_model
 
-from conftest import CAP_GENERATORS, CAP_MESSAGE, data_text, refuse_enumeration
+from conftest import CAP_GENERATORS, CAP_MESSAGE, data_text, patch_bindings, refuse_enumeration
 
 
 def load_ext(name):
@@ -325,24 +324,20 @@ class TestHomologyPresentation:
         assert str(err.value) == "delta^2 != 0: an image column is not in the kernel"
 
     def test_one_tracked_basis_per_kernel(self, monkeypatch, nilmanifold_hb):
-        # Per parity: one pass for ker(delta), one for the quotient by the image.
+        # Per parity: one graph pass for ker(delta), one for the quotient by the image.
         from toralrank import groebner
 
-        original = groebner._buchberger_tracked
-        calls = []
+        original = groebner._buchberger
+        graph_passes = []
 
-        def counting(gens, degree_cap, track=True, module=None):
-            calls.append(track)
-            return original(gens, degree_cap, track, module)
+        def counting(gens, degree_cap, module, lead_rank):
+            graph_passes.append(lead_rank < module.rank)
+            return original(gens, degree_cap, module, lead_rank)
 
-        for name, module in list(sys.modules.items()):
-            if name == "toralrank" or name.startswith("toralrank."):
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, counting)
+        patch_bindings(monkeypatch, original, counting)
         _, _, hb = nilmanifold_hb
         assert hb_cohomology_finite(hb).total_dim == 8
-        assert calls.count(True) == 4
+        assert graph_passes.count(True) == 4
 
 
 class TestProjections:

@@ -1,5 +1,4 @@
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from toralrank.resolutions import (
 )
 from toralrank.sullivan import parse_extension
 
-from conftest import SEED, data_text, random_finite_presentations
+from conftest import SEED, data_text, patch_bindings, random_finite_presentations
 
 
 def load(name):
@@ -192,7 +191,7 @@ class TestOracleIndependence:
 
     ENTRY_POINTS = (
         "buchberger",
-        "_buchberger_tracked",
+        "_buchberger",
         "syzygy_basis",
         "syzygies_of_columns",
         "finite_length_and_hilbert",
@@ -201,19 +200,12 @@ class TestOracleIndependence:
 
     @pytest.fixture
     def no_groebner(self, monkeypatch):
-        import sys
-
-        modules = [m for name, m in sys.modules.items() if name == "toralrank" or name.startswith("toralrank.")]
         for attr in self.ENTRY_POINTS:
-            original = getattr(groebner, attr)
 
             def refuse(*args, _name=attr, **kwargs):
                 raise AssertionError(f"groebner.{_name} called")
 
-            for module in modules:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, refuse)
+            patch_bindings(monkeypatch, getattr(groebner, attr), refuse)
 
     def test_pinned_results_without_groebner(self, no_groebner):
         with pytest.raises(AssertionError, match="called"):
@@ -322,11 +314,14 @@ class TestMemoizedResults:
 
             return wrapper
 
-        monkeypatch.setattr(resolutions, "groebner", counting(resolutions.groebner))
-        monkeypatch.setattr(resolutions, "syzygy_basis", counting(resolutions.syzygy_basis))
-        monkeypatch.setattr(groebner, "syzygies_of_columns", counting(groebner.syzygies_of_columns))
-        monkeypatch.setattr(groebner, "buchberger", counting(groebner.buchberger))
-        monkeypatch.setattr(groebner, "_buchberger_tracked", counting(groebner._buchberger_tracked))
+        for fn in (
+            groebner.groebner,
+            groebner.syzygy_basis,
+            groebner.syzygies_of_columns,
+            groebner.buchberger,
+            groebner._buchberger,
+        ):
+            patch_bindings(monkeypatch, fn, counting(fn))
         chk = check_generator_ratio(p)
         assert calls == []
         assert chk.hilbert == fin.hilbert
@@ -443,23 +438,19 @@ class TestReducedBasisSteps:
 
     @pytest.mark.parametrize("key", ["seed+0", "ex33.pres", "m23.pres", "m24.pres", "m25.pres", "m35.pres"])
     def test_one_basis_per_map(self, monkeypatch, key):
-        # After the finite-length test, the resolution tracks nothing and
-        # runs no second Buchberger pass on the map's own columns.
-        original = groebner._buchberger_tracked
+        # After the finite-length test, the resolution makes no graph pass
+        # and no second Buchberger pass on the map's own columns.
+        original = groebner._buchberger
         for p in step_inputs(key):
             assert finite_length_and_hilbert(p).finite
             passes = []
 
-            def counting(gens, degree_cap, track=True, module=None):
-                passes.append((tuple(gens), track))
-                return original(gens, degree_cap, track, module)
+            def counting(gens, degree_cap, module, lead_rank):
+                passes.append((tuple(gens), lead_rank < module.rank))
+                return original(gens, degree_cap, module, lead_rank)
 
-            for name, module in list(sys.modules.items()):
-                if name == "toralrank" or name.startswith("toralrank."):
-                    for attr, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, attr, counting)
+            patch_bindings(monkeypatch, original, counting)
             minimal_free_resolution(p)
             monkeypatch.undo()
-            assert [track for _, track in passes if track] == []
+            assert [graph for _, graph in passes if graph] == []
             assert p.columns not in [gens for gens, _ in passes]
