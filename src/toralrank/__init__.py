@@ -10,6 +10,7 @@ Subpackage map:
                degree-2 class test, torus extension data
 - hirschbrown: perturbation transfer of the twisted differential
 - bounds:      all closed-form bounds, tables, audits
+- pipeline:    extension -> transfer -> projections -> bound comparison
 - cli:         the command-line front end
 """
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from .diagrams import format_grid
 from .errors import DomainError
 
 
@@ -277,38 +278,6 @@ def _guard(fn, name):
 # Built-in tables (all cells are exact minima, then ceiled).
 
 
-TABLE_ROWS = {
-    "4a": ("b", (4, 6, 10)),
-    "4b": ("l", (4, 6, 10)),
-    "5": ("n", (2, 3, 4, 5)),
-}
-
-
-def table_cells(which: str):
-    """(header ranks, [(row label, [values])]) for the three built-in tables."""
-    if which == "4a":
-        ranks = list(range(1, 11))
-        rows = [
-            (f"b={b}", [betti_tradeoff_bound(10, r, b).value for r in ranks])
-            for b in TABLE_ROWS["4a"][1]
-        ]
-        return ranks, rows
-    if which == "4b":
-        ranks = list(range(1, 11))
-        rows = [
-            (f"l={l}", [low_degree_bound(10, r, l).value for r in ranks])
-            for l in TABLE_ROWS["4b"][1]
-        ]
-        return ranks, rows
-    if which == "5":
-        ranks = list(range(1, 11))
-        rows = []
-        for n in TABLE_ROWS["5"][1]:
-            rows.append((f"n={n}", [csymplectic_table_value(n, r) for r in range(1, 2 * n + 1)]))
-        return ranks, rows
-    raise DomainError(f"unknown table {which!r}")
-
-
 def csymplectic_table_value(n: int, r: int) -> int:
     """Dispatch between the two duality bounds by parity and range."""
     if (n % 2 == 1 and r >= n + 1) or (n % 2 == 0 and r >= n):
@@ -316,23 +285,27 @@ def csymplectic_table_value(n: int, r: int) -> int:
     return duality_bound_low_rank(n, r).value
 
 
+# Row variable, its values and the cell at (value, r); the columns are
+# r = 1..10, and a row of table 5 stops at r = 2n.
+TABLES = {
+    "4a": ("b", (4, 6, 10), lambda b, r: betti_tradeoff_bound(10, r, b).value),
+    "4b": ("l", (4, 6, 10), lambda l, r: low_degree_bound(10, r, l).value),
+    "5": ("n", (2, 3, 4, 5), csymplectic_table_value),
+}
+
+
+def table_cells(which: str):
+    """(header ranks, [(row label, [values])]) for the three built-in tables."""
+    if which not in TABLES:
+        raise DomainError(f"unknown table {which!r}")
+    name, values, cell = TABLES[which]
+    ranks = list(range(1, 11))
+    return ranks, [(f"{name}={v}", [cell(v, r) for r in ranks if which != "5" or r <= 2 * v]) for v in values]
+
+
 def render_table(which: str) -> str:
     ranks, rows = table_cells(which)
-    label_w = max(len("r"), max(len(lbl) for lbl, _ in rows))
-    col_w = []
-    for i, rk in enumerate(ranks):
-        wid = len(str(rk))
-        for _, vals in rows:
-            if i < len(vals):
-                wid = max(wid, len(str(vals[i])))
-        col_w.append(wid)
-    lines = ["r".ljust(label_w) + "".join("  " + str(rk).rjust(col_w[i]) for i, rk in enumerate(ranks))]
-    for lbl, vals in rows:
-        lines.append(
-            lbl.ljust(label_w)
-            + "".join("  " + str(v).rjust(col_w[i]) for i, v in enumerate(vals))
-        )
-    return "\n".join(lines) + "\n"
+    return format_grid("r", ranks, rows)
 
 
 def trc_audit(nmax: int = 4):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -17,27 +16,22 @@ from . import hirschbrown as hb_mod
 from .diagrams import (
     DegreeSequence,
     bs_decompose,
+    check_printable,
     format_betti_table,
     format_diagram,
     herzog_kuhl_residuals,
     parse_diagram,
     pure_diagram,
 )
-from .errors import (
-    DegreeCapError,
-    DomainError,
-    InhomogeneousError,
-    NotInConeError,
-    ParseError,
-    RingMismatchError,
-    ValidationError,
-)
+from .errors import DegreeCapError, DomainError, ParseError
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     finite_length_and_hilbert,
     format_presentation,
     parse_presentation,
 )
+from .pipeline import run_pipeline
+from .polyring import parse_int
 from .resolutions import check_generator_ratio, minimal_free_resolution
 from .sullivan import (
     parse_algebra_expression,
@@ -58,33 +52,18 @@ MAX_LEMMA52_NMAX = 100
 # Far past it `hk` runs for minutes and `pure` entries outgrow 4300 digits.
 MAX_DIAGRAM_LENGTH = 100
 
-MATH_ERRORS = (
-    DomainError,
-    NotInConeError,
-    ValidationError,
-    DegreeCapError,
-    InhomogeneousError,
-    RingMismatchError,
-)
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MATH_ERRORS as exc:
+    except (ValueError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _build_parser():
@@ -183,6 +162,14 @@ def _build_parser():
     return parser
 
 
+def _check_size(flag, value, cap, least=None):
+    """Refuse a size below `least` or above `cap` before any work starts."""
+    if least is not None and value < least:
+        raise DomainError(f"{flag} must be at least {least}")
+    if value > cap:
+        raise DomainError(f"{flag} {value} is above the cap {cap}")
+
+
 def _read(path):
     try:
         return Path(path).read_text()
@@ -196,8 +183,8 @@ def _read(path):
 def _cmd_bound(args):
     for name in ("r", "n", "b", "l"):
         value = getattr(args, name)
-        if value is not None and value > MAX_BOUND_SIZE:
-            raise DomainError(f"--{name} {value} is above the cap {MAX_BOUND_SIZE}")
+        if value is not None:
+            _check_size(f"--{name}", value, MAX_BOUND_SIZE)
     inputs = bounds_mod.BoundInputs(
         n=args.n, r=args.r, b=args.b, l=args.l, csymplectic=args.csymplectic
     )
@@ -251,10 +238,7 @@ def _cmd_table(args):
 
 
 def _cmd_audit(args):
-    if args.nmax < 1:
-        raise DomainError("--nmax must be at least 1")
-    if args.nmax > MAX_AUDIT_NMAX:
-        raise DomainError(f"--nmax {args.nmax} is above the cap {MAX_AUDIT_NMAX}")
+    _check_size("--nmax", args.nmax, MAX_AUDIT_NMAX, least=1)
     ok, records = bounds_mod.trc_audit(args.nmax)
     for n, r, best, target, meets in records:
         if args.porcelain:
@@ -268,10 +252,7 @@ def _cmd_audit(args):
 
 
 def _cmd_lemma52(args):
-    if args.nmax < 4:
-        raise DomainError("--nmax must be at least 4")
-    if args.nmax > MAX_LEMMA52_NMAX:
-        raise DomainError(f"--nmax {args.nmax} is above the cap {MAX_LEMMA52_NMAX}")
+    _check_size("--nmax", args.nmax, MAX_LEMMA52_NMAX, least=4)
     ok, records = bounds_mod.midpoint_ratio_sweep(args.nmax)
     for n, r, holds in records:
         if args.porcelain:
@@ -290,28 +271,24 @@ def _cmd_lemma52(args):
 
 
 def _cmd_pure(args):
-    length = args.d.count(",") + 1
-    if length > MAX_DIAGRAM_LENGTH:
-        raise DomainError(f"--d length {length} is above the cap {MAX_DIAGRAM_LENGTH}")
+    _check_size("--d length", args.d.count(",") + 1, MAX_DIAGRAM_LENGTH)
+    where = f"bad degree sequence {args.d!r}"
+    degs = tuple(parse_int(tok, where) for tok in args.d.split(","))
     try:
-        degs = tuple(int(tok) for tok in args.d.split(","))
         seq = DegreeSequence(degs)
     except ValueError as exc:
-        raise ParseError(f"bad degree sequence {args.d!r}: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc
     diagram = pure_diagram(seq)
+    check_printable((f"entry ({i},{j})", v) for (i, j), v in diagram.entries.items())
     sys.stdout.write(format_betti_table(diagram) if args.array else format_diagram(diagram))
     return 0
 
 
-def _check_codim(codim):
-    if codim > MAX_DIAGRAM_LENGTH:
-        raise DomainError(f"--codim {codim} is above the cap {MAX_DIAGRAM_LENGTH}")
-
-
 def _cmd_decompose(args):
-    _check_codim(args.codim)
+    _check_size("--codim", args.codim, MAX_DIAGRAM_LENGTH, least=1)
     diagram = parse_diagram(_read(args.infile))
     deco = bs_decompose(diagram, args.codim)
+    check_printable((f"coefficient {k}", coeff) for k, (coeff, _) in enumerate(deco, 1))
     for coeff, seq in deco:
         print(f"{coeff} * pi{seq}")
     exact = deco.recompose(codim_hint=args.codim) == diagram
@@ -320,9 +297,10 @@ def _cmd_decompose(args):
 
 
 def _cmd_hk(args):
-    _check_codim(args.codim)
+    _check_size("--codim", args.codim, MAX_DIAGRAM_LENGTH, least=1)
     diagram = parse_diagram(_read(args.infile))
     residuals = herzog_kuhl_residuals(diagram, args.codim)
+    check_printable((f"residual t={t}", v) for t, v in enumerate(residuals))
     for t, v in enumerate(residuals):
         print(f"t={t}: {v}")
     print(f"all zero: {'yes' if all(v == 0 for v in residuals) else 'no'}")
@@ -335,11 +313,11 @@ def _cmd_hk(args):
 def _cmd_resolve(args):
     p = parse_presentation(_read(args.infile))
     res = minimal_free_resolution(p, args.max_degree)
-    mods = res.free_modules()
-    ranks = " <- ".join(f"F{i}(rank {m.rank})" for i, m in enumerate(mods))
+    table = format_betti_table(res.betti_diagram())
+    ranks = " <- ".join(f"F{i}(rank {m.rank})" for i, m in enumerate(res.free_modules()))
     print(f"minimal resolution: {ranks}")
     print(f"length: {res.length}")
-    sys.stdout.write(format_betti_table(res.betti_diagram()))
+    sys.stdout.write(table)
     return 0
 
 
@@ -433,7 +411,7 @@ def _cmd_hb_build(args):
     print("betti: " + " ".join(str(betti.get(p, 0)) for p in range(rd.cutoff + 1)))
     nonzero = sum(1 for col in hb.delta.values() for v in col.values() if not v.is_zero())
     print(f"delta: {nonzero} nonzero entries, torus rank {hb.torus_rank}")
-    text = format_presentation(hb_mod._delta_map(hb))
+    text = format_presentation(hb_mod.delta_map(hb))
     if args.out:
         Path(args.out).write_text(text)
         print(f"delta presentation written to {args.out}")
@@ -453,82 +431,6 @@ def _cmd_hb_check(args):
     for name, witness in report.failures:
         print(f"violated: {name}  [witness: {witness}]")
     return 1
-
-
-@dataclass
-class PipelineResult:
-    b: int
-    k: int
-    finite: bool
-    total_dim: int
-    actual_h_dim: int
-    fd: int
-    torus_rank: int
-    even_check: object
-    odd_check: object
-    k_first: object
-    exterior_witness: object
-    bound_value: int
-    bound_met: bool
-
-
-def run_pipeline(text: str, cutoff=None, degree_cap=DEFAULT_DEGREE_CAP) -> PipelineResult:
-    """Extension file -> splitting -> transfer -> projections -> inequality."""
-    stage = "parse_extension"
-    note = ""
-    try:
-        ext = parse_extension(text)
-        stage = "split_Z"
-        zs = hb_mod.split_Z(ext)
-        stage = "build_retract"
-        if zs.k and cutoff == 0:
-            # The projections need the degree-1 Z' seeds inside the retract.
-            raise DomainError(f"cutoff {cutoff} lies below the degree-1 seeds of Z'")
-        rd = hb_mod.seeded_retract(ext, zs, cutoff)
-        top = ext.base.top_degree()
-        if cutoff is not None and (top is None or cutoff < top):
-            # Every later failure may be an artefact of the truncated H.
-            note = f" (at cutoff {cutoff}; a cutoff below the top degree truncates H)"
-        stage = "perturb"
-        hb = hb_mod.perturb(ext, rd)
-        stage = "hb_cohomology_finite"
-        fin = hb_mod.hb_cohomology_finite(hb, degree_cap)
-        actual = hb.h_rank
-        fd = max(hb.h_degrees)
-        even_check = odd_check = None
-        k_first = None
-        witness = None
-        if zs.k > 0:
-            stage = "projection_presentations"
-            maps = hb_mod.projection_presentations(hb, zs)
-            k_first = maps.k_first
-            stage = "check_generator_ratio(map_even)"
-            if not maps.even_vacuous:
-                even_check = check_generator_ratio(maps.map_even, degree_cap)
-            stage = "check_generator_ratio(map_odd)"
-            if not maps.odd_vacuous:
-                odd_check = check_generator_ratio(maps.map_odd, degree_cap)
-        else:
-            witness = 2 ** len(zs.Z)
-        stage = "bound comparison"
-        bound_value = bounds_mod.betti_tradeoff_bound(fd, ext.torus_rank, zs.b).value
-        return PipelineResult(
-            b=zs.b,
-            k=zs.k,
-            finite=fin.finite,
-            total_dim=fin.total_dim,
-            actual_h_dim=actual,
-            fd=fd,
-            torus_rank=ext.torus_rank,
-            even_check=even_check,
-            odd_check=odd_check,
-            k_first=k_first,
-            exterior_witness=witness,
-            bound_value=bound_value,
-            bound_met=actual >= bound_value,
-        )
-    except (ParseError, *MATH_ERRORS) as exc:
-        raise type(exc)(f"[stage {stage}] {exc}{note}") from exc
 
 
 def _cmd_hb_pipeline(args):
@@ -582,11 +484,7 @@ def _cmd_hb_pipeline(args):
             f"b={result.b}): {result.bound_value}; "
             f"dim H* = {result.actual_h_dim} -> {'met' if result.bound_met else 'NOT met'}"
         )
-    ok = result.finite and result.bound_met
-    for chk in (result.even_check, result.odd_check):
-        if chk is not None:
-            ok = ok and chk.holds
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ terminates with an exact positive combination.
 
 from __future__ import annotations
 
+import itertools
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInConeError, ParseError
+from .errors import DomainError, NotInConeError, ParseError
 from .polyring import parse_coefficient, parse_int
 
 
@@ -211,19 +214,17 @@ def min_ratio_over_sequences(N: int, r: int):
 
 
 def _admissible_sequences(N, r):
-    def rec(prefix, i):
-        if i > r:
-            yield DegreeSequence(tuple(prefix))
-            return
-        lo = 1 if i == 1 else prefix[-1] + 1
-        for d in range(lo, N + i + 1):
-            yield from rec(prefix + [d], i + 1)
-
-    yield from rec([0], 1)
+    # d_r <= N+r and strict increase already give d_i <= N+i.
+    for degs in itertools.combinations(range(1, N + r + 1), r):
+        yield DegreeSequence((0, *degs))
 
 
 # ---------------------------------------------------------------------------
 # Diagram file format and the windowed array printer.
+
+# Most cells a Betti table window holds: every pure diagram of 100
+# consecutive degrees fits, while the text grows with the degree span.
+MAX_GRID_CELLS = 10_000
 
 
 def parse_diagram(text: str) -> BettiDiagram:
@@ -250,25 +251,61 @@ def format_diagram(b: BettiDiagram) -> str:
 
 
 def format_betti_table(b: BettiDiagram) -> str:
-    """Aligned window of the diagram, rows = internal degree j, columns = i."""
+    """Aligned window of the diagram, rows = internal degree j, columns = i.
+
+    A window of more than MAX_GRID_CELLS cells is refused before it is built.
+    """
     if b.is_zero():
         return "(empty diagram)\n"
     imin = min(i for i, _ in b.entries)
     imax = max(i for i, _ in b.entries)
     jmin = min(j for _, j in b.entries)
     jmax = max(j for _, j in b.entries)
-    cols = list(range(imin, imax + 1))
-    rows = list(range(jmin, jmax + 1))
-    grid = {
-        (i, j): str(b.entry(i, j)) if b.entry(i, j) else "."
-        for i in cols
-        for j in rows
-    }
-    label_w = max(len("j\\i"), max(len(str(j)) for j in rows))
-    col_w = {i: max(len(str(i)), max(len(grid[(i, j)]) for j in rows)) for i in cols}
-    lines = ["j\\i".ljust(label_w) + "".join("  " + str(i).rjust(col_w[i]) for i in cols)]
-    for j in rows:
-        lines.append(
-            str(j).ljust(label_w) + "".join("  " + grid[(i, j)].rjust(col_w[i]) for i in cols)
+    if (imax - imin + 1) * (jmax - jmin + 1) > MAX_GRID_CELLS:
+        raise DomainError(
+            f"Betti table window of degrees {jmin}..{jmax} by columns {imin}..{imax} "
+            f"is above the cap of {MAX_GRID_CELLS} cells"
         )
+    cols = range(imin, imax + 1)
+    rows = [(j, [b.entries.get((i, j), ".") for i in cols]) for j in range(jmin, jmax + 1)]
+    return format_grid("j\\i", cols, rows)
+
+
+def format_grid(corner, header, rows) -> str:
+    """The header line, then one line per (label, cells) row, aligned.
+
+    Labels are left-aligned under `corner`, cells right-aligned under their
+    header entry, two spaces apart; a row may stop before the header does.
+    """
+    header = [str(h) for h in header]
+    rows = [(str(label), [str(c) for c in cells]) for label, cells in rows]
+    label_w = max([len(corner)] + [len(label) for label, _ in rows])
+    widths = [
+        max([len(h)] + [len(cells[i]) for _, cells in rows if i < len(cells)])
+        for i, h in enumerate(header)
+    ]
+    lines = [
+        label.ljust(label_w) + "".join("  " + c.rjust(w) for c, w in zip(cells, widths))
+        for label, cells in [(corner, header), *rows]
+    ]
     return "\n".join(lines) + "\n"
+
+
+def check_printable(named_values):
+    """Refuse, before anything is printed, a value past the int-to-str limit.
+
+    `named_values` yields (name, Fraction) pairs; the DomainError names the
+    first numerator or denominator with too many digits, and its digit count.
+    """
+    limit = sys.get_int_max_str_digits()
+    for name, value in named_values:
+        for part in (abs(value.numerator) or 1, value.denominator):
+            digits = _decimal_digits(part)
+            if limit and digits > limit:
+                raise DomainError(f"{name} has {digits} digits, above the {limit} that can be printed")
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 1, without converting it to a string."""
+    guess = int(math.log10(n))  # float rounding may miss by one either way
+    return guess + (n >= 10**guess) + (n >= 10 ** (guess + 1))

@@ -98,7 +98,7 @@ def build_retract(model: SullivanModel, cutoff: int = None, seed=None) -> Retrac
     most `cutoff` must be independent of the coboundaries and of the
     earlier seeds, or a ValidationError is raised.  A seed of degree above
     `cutoff` is dropped without an error, so the retract then holds none
-    of it.  Only `cli.run_pipeline` refuses a cutoff below the degree-1
+    of it.  Only `pipeline.run_pipeline` refuses a cutoff below the degree-1
     seeds of Z' (its projections need them); `hb-build` and `hb-check`
     accept it.
     """
@@ -614,7 +614,7 @@ def _restrict(hb, src, dst, ring, source_degrees, target_degrees) -> Presentatio
     return PresentationMap(FreeModule(ring, tuple(source_degrees)), target, tuple(cols))
 
 
-def _delta_map(hb: HirschBrownModel, parity: int = None) -> PresentationMap:
+def delta_map(hb: HirschBrownModel, parity: int = None) -> PresentationMap:
     """delta restricted to the parity part, as a graded map into the other.
 
     parity None takes all of H, so delta maps R (x) H into itself.
@@ -635,8 +635,8 @@ def _homology_presentation(hb, parity, degree_cap):
     in the source grading of the delta map); the shift does not affect
     finiteness or total dimension.
     """
-    out_map = _delta_map(hb, parity)
-    in_map = _delta_map(hb, 1 - parity)
+    out_map = delta_map(hb, parity)
+    in_map = delta_map(hb, 1 - parity)
     kernel = syzygies_of_columns(out_map, degree_cap)
     # kernel: R^s -> out_map.source; its columns generate ker(delta|parity).
     if kernel.source.rank == 0:

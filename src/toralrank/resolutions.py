@@ -101,19 +101,21 @@ def _resolve(p: PresentationMap, degree_cap: int) -> Resolution:
 
 
 def _minimize(maps):
-    """Cancel unit (constant) entries everywhere, lowest map / (row, col) first.
+    """Cancel the unit (constant) entries of maps[-1], lowest (row, col) first.
 
-    A unit pivot at (row, col) of maps[idx] splits off a trivial summand:
-    after clearing the pivot row by column operations, dropping the pivot
-    row and column, the neighbouring maps only lose the matching column /
-    row (the complex identity makes their corrected entries vanish).
+    Earlier maps are minimal already: maps[-2] is a reduced basis of a
+    minimal map's image, so its entries lie in the maximal ideal.  A unit
+    pivot at (row, col) splits off a trivial summand: after clearing the
+    pivot row by column operations and dropping the pivot row and column,
+    maps[-2] only loses the matching column (the complex identity makes
+    its corrected entries vanish).
     """
     while True:
-        spot = _find_unit(maps)
+        spot = _find_unit(maps[-1])
         if spot is None:
             return
-        idx, row, col = spot
-        a = maps[idx]
+        row, col = spot
+        a = maps[-1]
         cols = [list(c.components) for c in a.columns]
         u = cols[col][row]
         uc = u.constant_term()
@@ -131,31 +133,22 @@ def _minimize(maps):
             if j == col:
                 continue
             new_cols.append(ModuleElement(new_target, tuple(_drop(c, row))))
-        maps[idx] = PresentationMap(new_source, new_target, tuple(new_cols))
-        if idx > 0:
-            prev = maps[idx - 1]
+        maps[-1] = PresentationMap(new_source, new_target, tuple(new_cols))
+        if len(maps) > 1:
+            prev = maps[-2]
             kept = [c for j, c in enumerate(prev.columns) if j != row]
-            maps[idx - 1] = PresentationMap(
+            maps[-2] = PresentationMap(
                 FreeModule(prev.source.ring, _drop(prev.source.generator_degrees, row)),
                 prev.target,
                 tuple(kept),
             )
-        if idx + 1 < len(maps):
-            nxt = maps[idx + 1]
-            new_nxt_target = FreeModule(nxt.target.ring, _drop(nxt.target.generator_degrees, col))
-            nxt_cols = [
-                ModuleElement(new_nxt_target, tuple(_drop(list(c.components), col)))
-                for c in nxt.columns
-            ]
-            maps[idx + 1] = PresentationMap(nxt.source, new_nxt_target, tuple(nxt_cols))
 
 
-def _find_unit(maps):
-    for idx, m in enumerate(maps):
-        for row in range(m.target.rank):
-            for col in range(m.source.rank):
-                if m.entry(row, col).constant_term() != 0:
-                    return idx, row, col
+def _find_unit(m):
+    for row in range(m.target.rank):
+        for col in range(m.source.rank):
+            if m.entry(row, col).constant_term() != 0:
+                return row, col
     return None
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from toralrank import bounds as B
-from toralrank.cli import run_pipeline
+from toralrank.pipeline import run_pipeline
 from toralrank.diagrams import (
     BettiDiagram,
     DegreeSequence,

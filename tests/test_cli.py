@@ -2,11 +2,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from toralrank.cli import main, run_pipeline
+from toralrank import cli
+from toralrank.cli import main
+from toralrank.pipeline import run_pipeline
 from toralrank.diagrams import DegreeSequence, format_diagram, pure_diagram
 
 from conftest import DATA, GOLDEN, data_text
@@ -166,6 +169,57 @@ class TestSizeCaps:
         assert proc.stdout.splitlines() == [f"1 * pi({','.join(map(str, range(101)))})", "recomposes exactly: yes"]
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hk", "--in", "missing.txt", "--codim", "0"],
+            ["hk", "--in", "missing.txt", "--codim", "-3"],
+            ["decompose", "--in", "missing.txt", "--codim", "-1"],
+        ],
+    )
+    def test_codim_below_one_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --codim must be at least 1\n"
+
+    def test_array_window_above_the_cell_cap_is_refused(self):
+        proc, wall = run_child("pure", "--d", "0,100000", "--array")
+        assert wall < 5
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: Betti table window of degrees 0..100000 by columns 0..1 is above the cap of 10000 cells\n"
+
+    def test_largest_array_window_prints(self):
+        # 100 consecutive degrees fill exactly the 10000-cell cap.
+        proc, wall = run_child("pure", "--d", ",".join(map(str, range(100))), "--array")
+        assert wall < 5
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 101
+
+    def test_values_past_the_digit_limit_are_refused_before_output(self, tmp_path):
+        # Python's int-to-str conversion stops at 4300 digits.
+        f = tmp_path / "d.txt"
+        f.write_text(f"0 0 1\n1 {10 ** 50} 1\n")
+        proc, wall = run_child("hk", "--in", str(f), "--codim", "100")
+        assert wall < 5
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: residual t=86 has 4301 digits, above the 4300 that can be printed\n"
+        x = 10**3000
+        for array in ([], ["--array"]):
+            proc, wall = run_child("pure", "--d", f"0,{x},{2 * x}", *array)
+            assert wall < 5
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert proc.stderr == "error: entry (0,0) has 6001 digits, above the 4300 that can be printed\n"
+        # The one coefficient of pi(0,x,2x,3x) scaled to integer entries is 6x^3.
+        x = 10**1500
+        f.write_text(format_diagram(pure_diagram(DegreeSequence((0, x, 2 * x, 3 * x))).scaled(6 * x**3)))
+        proc, wall = run_child("decompose", "--in", str(f), "--codim", "3")
+        assert wall < 5
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: coefficient 1 has 4501 digits, above the 4300 that can be printed\n"
+
+
 class TestDiagramCommands:
     def test_pure(self, capsys):
         code, out, _ = run(capsys, "pure", "--d", "0,1,3")
@@ -187,6 +241,13 @@ class TestDiagramCommands:
         code, out, err = run(capsys, "decompose", "--in", str(f), "--codim", "2")
         assert code == 1
         assert "cone" in err
+
+    @pytest.mark.parametrize("degrees,token", [("0,1_0", "1_0"), (" 0,+3", " 0"), ("0,+3", "+3"), ("0,\u0663", "\u0663")])
+    def test_degree_outside_the_integer_grammar_exits_two(self, capsys, degrees, token):
+        code, out, err = run(capsys, "pure", "--d", degrees)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad degree sequence {degrees!r}: expected an integer, got {token!r}\n"
 
     def test_hk(self, capsys, tmp_path):
         f = tmp_path / "d.txt"
@@ -496,6 +557,17 @@ class TestPipeline:
         assert result.finite and result.total_dim == 1
         assert result.exterior_witness == 4
         assert result.bound_met
+        assert result.ok
+
+    def test_ok_needs_every_generator_count_check(self):
+        result = run_pipeline(data_text("nilmanifold.sul"))
+        assert result.ok
+        assert not replace(result, odd_check=replace(result.odd_check, holds=False)).ok
+        assert not replace(result, finite=False).ok
+        assert not replace(result, bound_met=False).ok
+
+    def test_cli_serves_the_library_pipeline(self):
+        assert cli.run_pipeline is run_pipeline
 
 
 class TestIntegerTokens:

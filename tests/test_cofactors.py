@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from toralrank.groebner import PresentationMap, _Graph, buchberger, normal_form, parse_presentation
-from toralrank.hirschbrown import _delta_map, perturb, seeded_retract, split_Z
+from toralrank.hirschbrown import delta_map, perturb, seeded_retract, split_Z
 from toralrank.polyring import FreeModule, ModuleElement, Ring
 from toralrank.sullivan import parse_extension
 
@@ -84,7 +84,7 @@ def presentation_inputs(kind, name):
         return [parse_presentation(data_text(name))]
     ext = parse_extension(data_text(name))
     hb = perturb(ext, seeded_retract(ext, split_Z(ext)))
-    return [_delta_map(hb, parity) for parity in (0, 1)]
+    return [delta_map(hb, parity) for parity in (0, 1)]
 
 
 @pytest.mark.parametrize("seed", [SEED, SEED + 1])
@@ -103,7 +103,7 @@ def test_cofactors_on_shipped_presentations(name):
 def test_cofactors_on_model_delta_maps(name, parity):
     ext = parse_extension(data_text(name))
     hb = perturb(ext, seeded_retract(ext, split_Z(ext)))
-    assert_coordinates_rebuild_basis(_delta_map(hb, parity))
+    assert_coordinates_rebuild_basis(delta_map(hb, parity))
 
 
 def test_cofactors_skip_zero_generators():

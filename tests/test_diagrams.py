@@ -8,15 +8,17 @@ from toralrank.diagrams import (
     BSDecomposition,
     DegreeSequence,
     bs_decompose,
+    check_printable,
     format_betti_table,
     format_diagram,
+    format_grid,
     herzog_kuhl_residuals,
     hk_ratio,
     min_ratio_over_sequences,
     parse_diagram,
     pure_diagram,
 )
-from toralrank.errors import NotInConeError, ParseError
+from toralrank.errors import DomainError, NotInConeError, ParseError
 from toralrank.groebner import finite_length_and_hilbert
 from toralrank.resolutions import minimal_free_resolution
 
@@ -167,3 +169,25 @@ class TestIO:
         assert lines[0].split() == ["j\\i", "0", "1", "2"]
         assert lines[1].split() == ["0", "1", ".", "."]
         assert lines[4].split() == ["3", ".", ".", "1"]
+
+    def test_grid_rows_may_stop_early(self):
+        grid = format_grid("r", [1, 2, 10], [("n=2", [3, 40]), ("n=10", [5, 6, 789])])
+        assert grid == "r     1   2   10\nn=2   3  40\nn=10  5   6  789\n"
+
+    def test_window_above_the_cell_cap_is_refused(self):
+        with pytest.raises(DomainError, match="^Betti table window of degrees 0..10000 by columns 0..1 is above"):
+            format_betti_table(pure_diagram(DegreeSequence((0, 10_000))))
+        assert len(format_betti_table(pure_diagram(DegreeSequence((0, 4999)))).splitlines()) == 5001
+
+    @pytest.mark.parametrize("k", [1, 9, 10, 4299, 4300, 4301, 9999])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_digit_count_is_exact(self, k, delta):
+        n = 10**k + delta
+        digits = k + (delta >= 0)
+        fits = digits <= 4300
+        for value in (Fraction(n), Fraction(-n), Fraction(1, n)):
+            if fits:
+                check_printable([("v", value)])
+            else:
+                with pytest.raises(DomainError, match=f"^v has {digits} digits, above the 4300 that can be printed$"):
+                    check_printable([("v", value)])

@@ -299,7 +299,7 @@ ENGINE_DIGEST = "1fb3490d9b4ec2df1d8cf0999918e8ee8652890ddf9c24c90102c482fc806dc
 
 def engine_inputs():
     from conftest import random_finite_presentations
-    from toralrank.hirschbrown import _delta_map, perturb, seeded_retract, split_Z
+    from toralrank.hirschbrown import delta_map, perturb, seeded_retract, split_Z
     from toralrank.sullivan import parse_extension
 
     yield from random_finite_presentations()
@@ -310,7 +310,7 @@ def engine_inputs():
         ext = parse_extension(data_text(name))
         hb = perturb(ext, seeded_retract(ext, split_Z(ext)))
         for parity in (0, 1):
-            delta = _delta_map(hb, parity)
+            delta = delta_map(hb, parity)
             yield delta
             # The kernel of delta, as _homology_presentation computes it.
             yield syzygies_of_columns(delta)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from toralrank.cli import run_pipeline
+from toralrank.pipeline import run_pipeline
 from toralrank.errors import DomainError, ValidationError
 from toralrank.groebner import finite_length_and_hilbert
 from toralrank.hirschbrown import (
